@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "behaviot/obs/json.hpp"
+#include "behaviot/testbed/catalog.hpp"
 
 namespace behaviot {
 namespace {
@@ -157,6 +158,16 @@ std::string render_alert_explanation(const DeviationAlert& alert,
   }
   os << "  context: " << alert.context << "\n";
   return os.str();
+}
+
+void print_alert_line(std::FILE* out, const DeviationAlert& alert) {
+  const auto& catalog = testbed::Catalog::standard();
+  const char* device_name = alert.device < catalog.size()
+                                ? catalog.by_id(alert.device).name.c_str()
+                                : "(system)";
+  std::fprintf(out, "  [%s] %-18s score %6.2f (thr %4.2f)  %s\n",
+               to_string(alert.source), device_name, alert.score,
+               alert.threshold, alert.context.substr(0, 80).c_str());
 }
 
 }  // namespace behaviot

@@ -4,6 +4,7 @@
 // `behaviot_cli explain --alerts FILE`).
 #pragma once
 
+#include <cstdio>
 #include <span>
 #include <string>
 #include <string_view>
@@ -31,6 +32,10 @@ namespace behaviot {
 /// on malformed JSON, an unknown version, or a missing required field.
 [[nodiscard]] std::vector<DeviationAlert> alerts_from_json(
     std::string_view text);
+
+/// Prints one alert as the one-line summary `score` and `watch` show:
+/// source, device name, score against threshold, and the context.
+void print_alert_line(std::FILE* out, const DeviationAlert& alert);
 
 /// Renders one alert's provenance as a human-readable block (used by the
 /// `explain` subcommand): what was observed, what the model expected, which

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "behaviot/core/binary_io.hpp"
+#include "behaviot/core/serialize_binary.hpp"
 #include "behaviot/obs/crash_point.hpp"
 #include "behaviot/obs/snapshot.hpp"
 
@@ -478,7 +479,57 @@ void read_health(Cursor& c, obs::HealthSnapshot& snap) {
   if (!c.at_end()) c.fail("trailing bytes after health section");
 }
 
+/// The mapping between the pinned grid and WatchOptions: copies each pinned
+/// field out of `opts` (`to_pinned`) or back into it.
+void map_pinned(CheckpointOptions& pinned, WatchOptions& opts, bool to_pinned) {
+  const auto copy = [to_pinned](auto& p, auto& o) {
+    if (to_pinned) {
+      p = o;
+    } else {
+      o = p;
+    }
+  };
+  copy(pinned.window_us, opts.window_us);
+  copy(pinned.retrain_every_windows, opts.retrain_every_windows);
+  copy(pinned.burst_gap_us, opts.assembler.base.burst_gap_us);
+  copy(pinned.drop_infrastructure, opts.assembler.base.drop_infrastructure);
+  copy(pinned.max_ts_regression_us, opts.assembler.base.max_ts_regression_us);
+  copy(pinned.reorder_horizon_us, opts.assembler.reorder_horizon_us);
+  copy(pinned.max_open_flows, opts.assembler.max_open_flows);
+  copy(pinned.max_buffered_packets, opts.assembler.max_buffered_packets);
+}
+
 }  // namespace
+
+WatchCheckpoint compose_checkpoint(const WatchEngine& engine,
+                                   const ModelHandle& models,
+                                   std::uint64_t input_offset,
+                                   std::string alerts_json,
+                                   obs::HealthSnapshot health) {
+  WatchCheckpoint cp;
+  WatchOptions opts = engine.options();
+  map_pinned(cp.options, opts, /*to_pinned=*/true);
+  cp.engine = engine.export_state();
+  cp.models_image = save_models_binary(*models.acquire());
+  cp.model_version = models.version();
+  cp.input_offset = input_offset;
+  cp.alerts_json = std::move(alerts_json);
+  cp.health = std::move(health);
+  return cp;
+}
+
+std::unique_ptr<WatchEngine> resume_engine(WatchCheckpoint& cp,
+                                           ModelHandle& models,
+                                           DomainResolver resolver,
+                                           WatchOptions opts) {
+  models.restore(load_models_binary(binio::as_bytes(cp.models_image)),
+                 cp.model_version);
+  map_pinned(cp.options, opts, /*to_pinned=*/false);
+  auto engine =
+      std::make_unique<WatchEngine>(models, std::move(resolver), opts);
+  engine->import_state(std::move(cp.engine));
+  return engine;
+}
 
 std::string save_checkpoint(const WatchCheckpoint& cp) {
   const std::pair<std::uint32_t, std::string> sections[] = {

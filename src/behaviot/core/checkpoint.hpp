@@ -35,9 +35,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 
+#include "behaviot/core/model_handle.hpp"
 #include "behaviot/core/watch_engine.hpp"
 #include "behaviot/net/parse_policy.hpp"
 #include "behaviot/obs/health.hpp"
@@ -92,6 +94,24 @@ struct WatchCheckpoint {
   std::string alerts_json;
   obs::HealthSnapshot health;
 };
+
+/// Composes a checkpoint: the engine's state and pinned grid, the current
+/// generation of `models` as a `.bbm` image with its version, and the
+/// caller's capture cursor, alerts document and health. Call it from the
+/// window sink or after finish(), where export_state() is exact.
+[[nodiscard]] WatchCheckpoint compose_checkpoint(const WatchEngine& engine,
+                                                 const ModelHandle& models,
+                                                 std::uint64_t input_offset,
+                                                 std::string alerts_json,
+                                                 obs::HealthSnapshot health);
+
+/// The restore side: `models` takes the embedded generation at its
+/// version, and the returned engine continues the checkpointed state on
+/// `opts` with the pinned grid put back over it (see CheckpointOptions).
+/// Moves from `cp.engine`.
+[[nodiscard]] std::unique_ptr<WatchEngine> resume_engine(
+    WatchCheckpoint& cp, ModelHandle& models, DomainResolver resolver,
+    WatchOptions opts);
 
 /// Serializes a checkpoint to a complete `.bbc` image.
 [[nodiscard]] std::string save_checkpoint(const WatchCheckpoint& cp);

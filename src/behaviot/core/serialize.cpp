@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <locale>
@@ -353,6 +354,20 @@ BehaviorModelSet load_models_file(const std::string& path, ParsePolicy policy,
   std::ifstream file(path);
   if (!file) throw SerializationError("cannot open for read: " + path);
   return load_models(file, policy, stats);
+}
+
+BehaviorModelSet load_models_file_reporting(const std::string& path,
+                                            ParsePolicy policy) {
+  ParseStats stats;
+  BehaviorModelSet models = load_models_file(path, policy, &stats);
+  if (stats.sections_dropped > 0) {
+    std::fprintf(stderr,
+                 "warning: %s is damaged — %zu model section(s) dropped by"
+                 " the lenient load (re-run with --parse strict for the"
+                 " offending byte)\n",
+                 path.c_str(), stats.sections_dropped);
+  }
+  return models;
 }
 
 }  // namespace behaviot

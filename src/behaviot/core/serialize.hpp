@@ -73,5 +73,9 @@ BehaviorModelSet load_models(std::istream& is,
 BehaviorModelSet load_models_file(const std::string& path,
                                   ParsePolicy policy = ParsePolicy::kStrict,
                                   ParseStats* stats = nullptr);
+/// load_models_file plus a one-line warning on stderr when a lenient load
+/// had to drop damaged sections — the load behind every --models flag.
+BehaviorModelSet load_models_file_reporting(const std::string& path,
+                                            ParsePolicy policy);
 
 }  // namespace behaviot

@@ -177,8 +177,9 @@ void WatchEngine::close_window(Timestamp ws, Timestamp we) {
   ++windows_;
   ++next_window_;
 
-  // Observed before the sink so a scrape triggered by the sink (the CLI
-  // updates /statusz there) already includes this window's close latency.
+  // Observed before the sink so a scrape triggered by the sink (the watch
+  // daemon publishes /statusz there) already includes this window's close
+  // latency.
   static auto& close_hist = obs::histogram("watch.window_close_latency_ms");
   close_hist.observe(std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - close_start)

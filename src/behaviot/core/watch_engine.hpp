@@ -140,6 +140,7 @@ class WatchEngine {
   /// can stop reading the capture.
   [[nodiscard]] bool done() const { return done_; }
 
+  [[nodiscard]] const WatchOptions& options() const { return options_; }
   [[nodiscard]] std::size_t windows_evaluated() const { return windows_; }
   [[nodiscard]] std::size_t alerts_emitted() const { return alerts_; }
   [[nodiscard]] std::uint64_t model_version() const { return model_version_; }

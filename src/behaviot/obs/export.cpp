@@ -253,6 +253,13 @@ std::string to_prometheus(const MetricsSnapshot& snap,
   return os.str();
 }
 
+std::string metrics_document(std::string_view path,
+                             const MetricsSnapshot& snap,
+                             const HealthSnapshot& health) {
+  return path.ends_with(".prom") ? to_prometheus(snap, health)
+                                 : to_json(snap, health);
+}
+
 std::string summary_table(const MetricsSnapshot& snap) {
   std::ostringstream os;
   bool any_span = false;

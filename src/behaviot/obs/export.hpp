@@ -4,6 +4,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "behaviot/obs/health.hpp"
 #include "behaviot/obs/metrics.hpp"
@@ -45,6 +46,12 @@ namespace behaviot::obs {
 /// quarantined) and behaviot_component_incidents_total{component="..."}.
 [[nodiscard]] std::string to_prometheus(const MetricsSnapshot& snap,
                                         const HealthSnapshot& health);
+
+/// The --metrics document for `path`: Prometheus text exposition when it
+/// ends in ".prom", JSON otherwise — both with the health families.
+[[nodiscard]] std::string metrics_document(std::string_view path,
+                                           const MetricsSnapshot& snap,
+                                           const HealthSnapshot& health);
 
 /// Fixed-width table of stage timings and non-zero counters/gauges for
 /// end-of-run terminal output.

@@ -128,10 +128,10 @@ void TelemetryServer::stop() {
   close_fd(wake_pipe_[1]);
 }
 
-void TelemetryServer::set_status_provider(
-    std::function<std::string()> provider) {
+void TelemetryServer::publish_status_json(std::string json) {
+  auto doc = std::make_shared<const std::string>(std::move(json));
   std::lock_guard<std::mutex> lock(mu_);
-  provider_ = std::move(provider);
+  status_json_ = std::move(doc);
 }
 
 void TelemetryServer::publish_trace_json(std::string json) {
@@ -256,10 +256,10 @@ TelemetryServer::Response TelemetryServer::statusz_response() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     started_)
           .count();
-  std::function<std::string()> provider;
+  std::shared_ptr<const std::string> status;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    provider = provider_;
+    status = status_json_;
   }
   std::ostringstream out;
   out << "{\"server\":{\"port\":" << port_
@@ -269,7 +269,7 @@ TelemetryServer::Response TelemetryServer::statusz_response() {
       << ",\"cpu_seconds\":" << ps.cpu_seconds
       << ",\"uptime_seconds\":" << ps.uptime_seconds << "},\"health\":\""
       << to_string(health().snapshot().overall()) << "\",\"watch\":"
-      << (provider ? provider() : std::string("null")) << "}";
+      << (status != nullptr ? *status : std::string("null")) << "}";
   return {200, "application/json; charset=utf-8", out.str()};
 }
 

@@ -23,7 +23,7 @@
 // Threading and snapshot-consistency model (DESIGN.md §5j): the server
 // thread only ever touches thread-safe surfaces — the metrics registry
 // (sharded mutex + relaxed atomics), the health registry (mutex), and
-// immutable documents published through set_status_provider() /
+// immutable documents published through publish_status_json() /
 // publish_trace_json(). The tracer's ring buffers are NOT thread-safe to
 // read while armed, so /tracez serves the last published snapshot (the
 // watch loop publishes one at every window boundary, a natural quiescent
@@ -36,7 +36,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -78,10 +77,9 @@ class TelemetryServer {
     return requests_.load(std::memory_order_relaxed);
   }
 
-  /// Publishes the host command's /statusz contribution. The provider runs
-  /// on the server thread and must be thread-safe; it returns a JSON object
-  /// string, embedded verbatim under "watch".
-  void set_status_provider(std::function<std::string()> provider);
+  /// Publishes the host command's /statusz contribution: a JSON object
+  /// string, served verbatim under "watch" until the next publish.
+  void publish_status_json(std::string json);
 
   /// Publishes an immutable rendered trace document for /tracez. Call from
   /// a quiescent point (the watch loop's window sink); the server hands out
@@ -112,8 +110,8 @@ class TelemetryServer {
   std::atomic<std::uint64_t> requests_{0};
   std::chrono::steady_clock::time_point started_{};
 
-  mutable std::mutex mu_;  ///< guards provider_ and trace_json_
-  std::function<std::string()> provider_;
+  mutable std::mutex mu_;  ///< guards status_json_ and trace_json_
+  std::shared_ptr<const std::string> status_json_;
   std::shared_ptr<const std::string> trace_json_;
 };
 

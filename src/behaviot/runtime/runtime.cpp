@@ -140,11 +140,23 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   job.chunk = std::max<std::size_t>(1, (n + target_chunks - 1) / target_chunks);
   job.num_chunks = (n + job.chunk - 1) / job.chunk;
 
+  bool pool_busy = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    job_ = &job;
-    ++generation_;
-    active_ = workers_.size();
+    // One job owns the workers at a time. A second submitting thread (a
+    // background retrain racing the window path) runs its range inline
+    // instead of overwriting the running job's slot and count; a chunk's
+    // result never depends on the thread that runs it.
+    pool_busy = job_ != nullptr;
+    if (!pool_busy) {
+      job_ = &job;
+      ++generation_;
+      active_ = workers_.size();
+    }
+  }
+  if (pool_busy) {
+    for (std::size_t i = begin; i < end; ++i) fn(i);
+    return;
   }
   work_cv_.notify_all();
 

@@ -14,6 +14,8 @@
 //  - Nested calls are safe: a `parallel_for` issued from inside a worker (or
 //    from inside the caller's own chunk) runs serially on that thread rather
 //    than deadlocking on the shared pool.
+//  - Concurrent submitters are safe: a `parallel_for` from another thread
+//    while the pool runs a job executes its range inline on that thread.
 //  - Exceptions thrown by the body are caught, the remaining chunks are
 //    abandoned, and the first exception is rethrown on the calling thread.
 //

@@ -148,6 +148,23 @@ void configure_resolver(DomainResolver& resolver,
   }
 }
 
+DomainResolver gateway_resolver() {
+  DomainResolver resolver;
+  GeneratedCapture rdns_only;
+  TrafficGenerator::add_static_rdns(rdns_only);
+  configure_resolver(resolver, rdns_only);
+  return resolver;
+}
+
+void annotate_devices(std::span<Packet> packets) {
+  const Catalog& catalog = Catalog::standard();
+  for (Packet& p : packets) {
+    if (const DeviceInfo* device = catalog.by_ip(p.tuple.src.ip)) {
+      p.device = device->id;
+    }
+  }
+}
+
 GeneratedCapture Datasets::idle(std::uint64_t seed, double days) {
   const Catalog& catalog = Catalog::standard();
   TrafficGenerator gen(catalog, seed);

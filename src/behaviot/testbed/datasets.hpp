@@ -7,6 +7,8 @@
 // All captures regenerate bit-identically from their seeds.
 #pragma once
 
+#include <span>
+
 #include "behaviot/net/domain_resolver.hpp"
 #include "behaviot/testbed/incidents.hpp"
 #include "behaviot/testbed/traffic_gen.hpp"
@@ -42,5 +44,13 @@ struct Datasets {
 /// operator's static configuration).
 void configure_resolver(DomainResolver& resolver,
                         const GeneratedCapture& capture);
+
+/// A resolver holding the testbed's static reverse-DNS table — what every
+/// command starts from before the capture teaches it DNS/SNI bindings.
+[[nodiscard]] DomainResolver gateway_resolver();
+
+/// Restores device identity on packets read back from a pcap (which does
+/// not carry it) from the catalog's lease table, keyed by source address.
+void annotate_devices(std::span<Packet> packets);
 
 }  // namespace behaviot::testbed

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -20,43 +21,18 @@
 #include "behaviot/analysis/alert_report.hpp"
 #include "behaviot/core/binary_io.hpp"
 #include "behaviot/core/model_handle.hpp"
-#include "behaviot/core/serialize.hpp"
 #include "behaviot/core/serialize_binary.hpp"
+#include "behaviot/core/watch_daemon.hpp"
 #include "behaviot/core/watch_engine.hpp"
-#include "behaviot/flow/assembler.hpp"
 #include "behaviot/obs/health.hpp"
 #include "behaviot/runtime/runtime.hpp"
-#include "behaviot/testbed/datasets.hpp"
+#include "watch_fixture.hpp"
 
 namespace behaviot {
 namespace {
 
-constexpr std::int64_t kWindowUs = 30 * 60 * 1'000'000LL;
-
 const binio::ImageFormat kBbcFormat{kCheckpointMagic, kCheckpointFormatVersion,
                                     "bbc", "watch checkpoint"};
-
-/// Shared fixture, built once per binary (heavy: trains real periodic
-/// models from generated idle traffic; mirrors test_watch so alerts exist).
-struct CheckpointFixture {
-  BehaviorModelSet models;
-  std::vector<Packet> eval_packets;
-};
-
-const CheckpointFixture& fixture() {
-  static const CheckpointFixture* fx = [] {
-    auto* f = new CheckpointFixture;
-    const auto train = testbed::Datasets::idle(/*seed=*/11, /*days=*/0.5);
-    DomainResolver train_resolver;
-    const auto train_flows =
-        FlowAssembler().assemble(train.packets, train_resolver);
-    f->models.periodic = PeriodicModelSet::infer(train_flows, 0.5 * 86400.0);
-    f->eval_packets =
-        testbed::Datasets::routine_week(/*seed=*/23, /*days=*/0.25).packets;
-    return f;
-  }();
-  return *fx;
-}
 
 WatchOptions watch_options() {
   WatchOptions opts;
@@ -65,50 +41,15 @@ WatchOptions watch_options() {
   return opts;
 }
 
-WatchCheckpoint make_checkpoint(const WatchEngine& engine,
-                                const ModelHandle& handle,
-                                const WatchOptions& opts,
-                                std::uint64_t input_offset,
-                                std::span<const DeviationAlert> alerts) {
-  WatchCheckpoint cp;
-  cp.options.window_us = opts.window_us;
-  cp.options.retrain_every_windows = opts.retrain_every_windows;
-  cp.options.burst_gap_us = opts.assembler.base.burst_gap_us;
-  cp.options.drop_infrastructure = opts.assembler.base.drop_infrastructure;
-  cp.options.max_ts_regression_us = opts.assembler.base.max_ts_regression_us;
-  cp.options.reorder_horizon_us = opts.assembler.reorder_horizon_us;
-  cp.options.max_open_flows = opts.assembler.max_open_flows;
-  cp.options.max_buffered_packets = opts.assembler.max_buffered_packets;
-  cp.engine = engine.export_state();
-  cp.models_image = save_models_binary(*handle.acquire());
-  cp.model_version = handle.version();
-  cp.input_offset = input_offset;
-  cp.alerts_json = alerts_to_json(alerts);
-  obs::ComponentHealth synthetic;
-  synthetic.component = "watch.test";
-  synthetic.state = obs::ComponentState::kDegraded;
-  synthetic.reasons = {"synthetic incident for round-trip coverage"};
-  synthetic.incidents = 3;
-  cp.health.components = {synthetic};
-  return cp;
-}
-
-/// One serialized checkpoint from the reference run, with the number of
-/// packets that were inside engine state when it was taken (the engine-level
-/// stand-in for the CLI's pcap byte offset).
-struct TakenCheckpoint {
-  std::string bytes;
-  std::size_t fed = 0;
-};
-
 struct ReferenceRun {
   std::vector<DeviationAlert> alerts;
-  std::vector<TakenCheckpoint> checkpoints;
+  std::vector<std::string> checkpoints;  ///< one .bbc image per window
 };
 
 /// The uninterrupted run: ingest in `chunk`-sized pieces and serialize a
-/// full checkpoint at every window sink — exactly where the CLI writes its
-/// rotating file. The fed-packet count is captured before each ingest()
+/// full checkpoint at every window sink, where the daemon writes its
+/// rotating file. The capture offset is the count of packets fed (the
+/// stand-in for the daemon's pcap byte offset), taken before each ingest()
 /// because the sink fires inside it, with the whole chunk in engine state.
 ReferenceRun run_checkpointed(const BehaviorModelSet& models,
                               const std::vector<Packet>& packets,
@@ -117,11 +58,15 @@ ReferenceRun run_checkpointed(const BehaviorModelSet& models,
   WatchEngine engine(handle, DomainResolver{}, opts);
   ReferenceRun run;
   std::size_t fed = 0;
+  // A degraded health table, so the round trips cover the health section.
+  obs::HealthSnapshot health;
+  health.components = {{"watch.test", obs::ComponentState::kDegraded,
+                        {"synthetic incident for round-trip coverage"}, {}, 3}};
   engine.set_window_sink([&](const WatchWindowReport& r) {
     run.alerts.insert(run.alerts.end(), r.alerts.begin(), r.alerts.end());
-    const WatchCheckpoint cp =
-        make_checkpoint(engine, handle, opts, fed, run.alerts);
-    run.checkpoints.push_back({save_checkpoint(cp), fed});
+    const WatchCheckpoint cp = compose_checkpoint(
+        engine, handle, fed, alerts_to_json(run.alerts), health);
+    run.checkpoints.push_back(save_checkpoint(cp));
   });
   const std::span<const Packet> all(packets);
   for (std::size_t i = 0; i < all.size() && !engine.done(); i += chunk) {
@@ -147,24 +92,10 @@ ResumeResult resume_and_finish(const std::string& bbc,
                                std::size_t chunk) {
   WatchCheckpoint cp = load_checkpoint(binio::as_bytes(bbc));
   ModelHandle handle{BehaviorModelSet{}};
-  handle.restore(load_models_binary(binio::as_bytes(cp.models_image)),
-                 cp.model_version);
-  WatchOptions opts;
-  opts.window_us = cp.options.window_us;
-  opts.retrain_every_windows =
-      static_cast<std::size_t>(cp.options.retrain_every_windows);
-  opts.assembler.base.burst_gap_us = cp.options.burst_gap_us;
-  opts.assembler.base.drop_infrastructure = cp.options.drop_infrastructure;
-  opts.assembler.base.max_ts_regression_us = cp.options.max_ts_regression_us;
-  opts.assembler.reorder_horizon_us = cp.options.reorder_horizon_us;
-  opts.assembler.max_open_flows =
-      static_cast<std::size_t>(cp.options.max_open_flows);
-  opts.assembler.max_buffered_packets =
-      static_cast<std::size_t>(cp.options.max_buffered_packets);
-  WatchEngine engine(handle, DomainResolver{}, opts);
   ResumeResult result;
   result.alerts_before = cp.engine.alerts;
-  engine.import_state(std::move(cp.engine));
+  const auto resumed = resume_engine(cp, handle, DomainResolver{}, {});
+  WatchEngine& engine = *resumed;
   engine.set_window_sink([&](const WatchWindowReport& r) {
     result.alerts.insert(result.alerts.end(), r.alerts.begin(),
                          r.alerts.end());
@@ -179,19 +110,6 @@ ResumeResult resume_and_finish(const std::string& bbc,
   return result;
 }
 
-void expect_same_alerts(std::span<const DeviationAlert> a,
-                        std::span<const DeviationAlert> b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].source, b[i].source) << i;
-    EXPECT_EQ(a[i].when, b[i].when) << i;
-    EXPECT_EQ(a[i].device, b[i].device) << i;
-    EXPECT_EQ(a[i].score, b[i].score) << i;  // byte-identical, not near
-    EXPECT_EQ(a[i].threshold, b[i].threshold) << i;
-    EXPECT_EQ(a[i].context, b[i].context) << i;
-  }
-}
-
 /// One full checkpoint the format tests dissect (taken mid-run, after a
 /// retrain swap, so every section carries real content).
 const std::string& reference_image() {
@@ -201,7 +119,7 @@ const std::string& reference_image() {
                                       watch_options(), 1024);
     EXPECT_GE(run.checkpoints.size(), 6u);
     return new std::string(
-        run.checkpoints[run.checkpoints.size() / 2].bytes);
+        run.checkpoints[run.checkpoints.size() / 2]);
   }();
   return *image;
 }
@@ -223,8 +141,7 @@ TEST(CheckpointKillMatrix, ResumeMatchesUninterruptedRunAtEveryKillPoint) {
       ASSERT_FALSE(base.alerts.empty());
       for (std::size_t k = 0; k < base.checkpoints.size(); ++k) {
         const auto resumed =
-            resume_and_finish(base.checkpoints[k].bytes, fx.eval_packets,
-                              chunk);
+            resume_and_finish(base.checkpoints[k], fx.eval_packets, chunk);
         ASSERT_LE(resumed.alerts_before, base.alerts.size())
             << "kill point " << k;
         SCOPED_TRACE(::testing::Message()
@@ -248,10 +165,97 @@ TEST(CheckpointKillMatrix, ResumeChunkingIsIrrelevant) {
       run_checkpointed(fx.models, fx.eval_packets, watch_options(), 1024);
   ASSERT_GE(base.checkpoints.size(), 4u);
   const auto& mid = base.checkpoints[base.checkpoints.size() / 2];
-  const auto resumed = resume_and_finish(mid.bytes, fx.eval_packets, 311);
+  const auto resumed = resume_and_finish(mid, fx.eval_packets, 311);
   expect_same_alerts(resumed.alerts,
                      std::span<const DeviationAlert>(base.alerts)
                          .subspan(resumed.alerts_before));
+}
+
+// ---------------------------------------------------------------------------
+// The daemon's stop path: a stop request ends the run at the last closed
+// window and leaves the newest per-window checkpoint as the resume point, so
+// a stop followed by --resume continues the alert stream exactly as a kill
+// followed by --resume does.
+
+WatchDaemonOptions daemon_options(const std::string& tag) {
+  const WatchFixtureFiles& files = fixture_files();
+  WatchDaemonOptions o;
+  o.engine = watch_options();
+  o.models_path = files.models;
+  o.capture_path = files.capture;
+  o.alerts_path = files.dir + "/" + tag + "_alerts.json";
+  o.checkpoint_path = files.dir + "/" + tag + ".bbc";
+  std::filesystem::remove(o.checkpoint_path);
+  std::filesystem::remove(o.checkpoint_path + ".prev");
+  return o;
+}
+
+/// Runs a daemon to its end. Its packet hook restores device identity (as
+/// the CLI's does) and requests a stop once `stop_at(chunk, windows)` holds
+/// for the chunk about to be ingested and the windows closed so far; the
+/// daemon then stops before ingesting that chunk.
+int run_daemon(
+    const WatchDaemonOptions& o,
+    const std::function<bool(std::size_t, std::size_t)>& stop_at = {}) {
+  WatchDaemon* self = nullptr;
+  std::size_t chunk = 0;
+  WatchDaemon daemon(o, [&](std::vector<Packet>& packets) {
+    testbed::annotate_devices(packets);
+    if (stop_at && stop_at(chunk++, self->engine().windows_evaluated())) {
+      self->request_stop();
+    }
+  });
+  self = &daemon;
+  return daemon.run();
+}
+
+TEST(WatchDaemonStop, StopThenResumeMatchesTheUninterruptedRun) {
+  const WatchDaemonOptions base = daemon_options("uninterrupted");
+  std::size_t chunks = 0;
+  ASSERT_EQ(run_daemon(base,
+                       [&](std::size_t, std::size_t) {
+                         ++chunks;
+                         return false;
+                       }),
+            0);
+  const std::vector<DeviationAlert> expected = alerts_in(base.alerts_path);
+  ASSERT_FALSE(expected.empty());
+  ASSERT_GE(chunks, 8u);
+  const std::size_t windows =
+      load_checkpoint_resilient(base.checkpoint_path).engine.windows;
+
+  struct StopPoint {
+    const char* name;
+    std::function<bool(std::size_t, std::size_t)> at;
+  };
+  const auto at_chunk = [](std::size_t n) {
+    return [n](std::size_t chunk, std::size_t) { return chunk == n; };
+  };
+  const StopPoint stops[] = {
+      {"a quarter in", at_chunk(chunks / 4)},
+      {"half way", at_chunk(chunks / 2)},
+      // Every 4th window launches a retrain that the next window close
+      // joins: the stop lands while one is in flight.
+      {"during a retrain",
+       [](std::size_t, std::size_t windows) {
+         return windows > 0 && windows % 4 == 0;
+       }},
+      {"before the last chunk", at_chunk(chunks - 1)},
+  };
+  for (const StopPoint& stop : stops) {
+    SCOPED_TRACE(stop.name);
+    WatchDaemonOptions o = daemon_options("stopped");
+    ASSERT_EQ(run_daemon(o, stop.at), 0);
+    // The resume point is a per-window checkpoint, not an end of stream.
+    const WatchCheckpoint at_stop =
+        load_checkpoint_resilient(o.checkpoint_path);
+    EXPECT_FALSE(at_stop.engine.finished);
+    EXPECT_LT(at_stop.engine.windows, windows);
+
+    o.resume_path = o.checkpoint_path;
+    ASSERT_EQ(run_daemon(o), 0);
+    expect_same_alerts(alerts_in(o.alerts_path), expected);
+  }
 }
 
 // ---------------------------------------------------------------------------

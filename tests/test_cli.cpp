@@ -75,7 +75,10 @@ std::string read_file(const std::string& path) {
 class CliTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new std::string(::testing::TempDir() + "/behaviot_cli");
+    // Per process: two builds testing at once must not share (and tear
+    // down) each other's inputs.
+    dir_ = new std::string(::testing::TempDir() + "/behaviot_cli_" +
+                           std::to_string(::getpid()));
     std::filesystem::create_directories(*dir_);
   }
   static void TearDownTestSuite() {
@@ -654,7 +657,7 @@ bool wait_for_log(const std::string& log, const std::string& needle) {
   return false;
 }
 
-TEST_F(CliTest, SigtermFinishesTheWindowAndFlushesEverything) {
+TEST_F(CliTest, SigtermEndsAtTheLastClosedWindowAndFlushesEverything) {
   std::string models, capture;
   make_watch_inputs(*dir_, &models, &capture);
   const std::string log = *dir_ + "/term_watch.log";
@@ -663,7 +666,8 @@ TEST_F(CliTest, SigtermFinishesTheWindowAndFlushesEverything) {
 
   // --follow parks the daemon at EOF after streaming the capture, so the
   // SIGTERM arrives while it idles — the shutdown path must still flush the
-  // alerts snapshot and write a final checkpoint before exiting 0.
+  // alerts snapshot, leave the newest per-window checkpoint behind as the
+  // resume point, and exit 0.
   const pid_t pid = spawn_cli(
       {"watch", "--models", models, "--capture", capture, "--window-s", "600",
        "--follow", "1", "--alerts", alerts, "--checkpoint", ckpt},

@@ -137,10 +137,7 @@ TEST_F(IntegrationTest, PcapRoundTripPreservesPipelineResults) {
   // Device ids are unknown after pcap ingestion (kUnknownDevice); map back
   // via the catalog by source IP, as a real deployment would.
   auto reparsed = parsed.packets;
-  for (Packet& p : reparsed) {
-    const auto* dev = testbed::Catalog::standard().by_ip(p.tuple.src.ip);
-    if (dev != nullptr) p.device = dev->id;
-  }
+  testbed::annotate_devices(reparsed);
   const auto flows_direct = assembler.assemble(capture.packets, r1);
   const auto flows_pcap = assembler.assemble(reparsed, r2);
   ASSERT_EQ(flows_direct.size(), flows_pcap.size());

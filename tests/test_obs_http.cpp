@@ -1,7 +1,7 @@
 // Live telemetry layer: TelemetryServer endpoint semantics, atomic snapshot
 // writes with size-gated rotation, process self-stats, and the concurrent
 // scrape contract — endpoints hammered from multiple threads while the watch
-// engine closes windows and hot-swaps retrained models must answer with
+// daemon closes windows and hot-swaps retrained models must answer with
 // well-formed documents and must not perturb the alert stream by one byte.
 #include "behaviot/obs/telemetry_server.hpp"
 
@@ -16,15 +16,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
-#include "behaviot/core/model_handle.hpp"
-#include "behaviot/core/watch_engine.hpp"
-#include "behaviot/flow/assembler.hpp"
+#include "behaviot/analysis/alert_report.hpp"
+#include "behaviot/core/watch_daemon.hpp"
 #include "behaviot/obs/health.hpp"
 #include "behaviot/obs/json.hpp"
 #include "behaviot/obs/metrics.hpp"
@@ -32,6 +30,7 @@
 #include "behaviot/obs/snapshot.hpp"
 #include "behaviot/obs/trace.hpp"
 #include "behaviot/testbed/datasets.hpp"
+#include "watch_fixture.hpp"
 
 namespace behaviot {
 namespace {
@@ -156,7 +155,7 @@ TEST_F(ObsHttpTest, HealthzMirrorsHealthSubcommandSemantics) {
   EXPECT_NE(degraded.body.find("synthetic-degrade"), std::string::npos);
 }
 
-TEST_F(ObsHttpTest, StatuszEmbedsProviderDocument) {
+TEST_F(ObsHttpTest, StatuszEmbedsPublishedDocument) {
   obs::TelemetryServer server;
   ASSERT_TRUE(server.start());
   const auto bare = http_request(server.port(), "/statusz");
@@ -165,7 +164,7 @@ TEST_F(ObsHttpTest, StatuszEmbedsProviderDocument) {
   EXPECT_TRUE(bare_doc.at("watch").is_null());
   EXPECT_GE(bare_doc.at("process").at("uptime_seconds").as_number(), 0.0);
 
-  server.set_status_provider([] { return std::string("{\"window\":42}"); });
+  server.publish_status_json("{\"window\":42}");
   const auto with = http_request(server.port(), "/statusz");
   ASSERT_EQ(with.status, 200);
   const auto doc = obs::json::parse(with.body);
@@ -289,64 +288,29 @@ TEST(ProcessStats, CollectsPlausibleValues) {
   obs::MetricsRegistry::global().reset_values();
 }
 
-// ---- Concurrent scraping against a live watch run ----
+// ---- Concurrent scraping against a live watch daemon ----
 
-/// Shared fixture (heavy: trains real periodic models once per binary).
-struct HttpWatchFixture {
-  BehaviorModelSet models;
-  std::vector<Packet> eval_packets;
-};
-
-const HttpWatchFixture& watch_fixture() {
-  static const HttpWatchFixture* fx = [] {
-    auto* f = new HttpWatchFixture;
-    const auto train = testbed::Datasets::idle(/*seed=*/11, /*days=*/0.25);
-    DomainResolver resolver;
-    const auto flows = FlowAssembler().assemble(train.packets, resolver);
-    f->models.periodic = PeriodicModelSet::infer(flows, 0.25 * 86400.0);
-    f->eval_packets =
-        testbed::Datasets::routine_week(/*seed=*/23, /*days=*/0.2).packets;
-    return f;
-  }();
-  return *fx;
-}
-
-std::vector<DeviationAlert> run_watch_collecting(
-    const HttpWatchFixture& fx, obs::TelemetryServer* server) {
-  WatchOptions opts;
-  opts.window_us = minutes(30.0);
-  opts.retrain_every_windows = 2;
-  ModelHandle handle(fx.models);
-  WatchEngine engine(handle, DomainResolver{}, opts);
-  std::vector<DeviationAlert> alerts;
-  engine.set_window_sink([&](const WatchWindowReport& r) {
-    alerts.insert(alerts.end(), r.alerts.begin(), r.alerts.end());
-    if (server != nullptr) {
-      // What the CLI does per window: publish a trace snapshot from this
-      // quiescent point and refresh the status document.
-      server->publish_trace_json(
-          obs::trace_to_chrome_json(obs::Tracer::global().snapshot()));
-      server->set_status_provider([index = r.index, version =
-                                       r.model_version] {
-        return "{\"window\":" + std::to_string(index) +
-               ",\"model_version\":" + std::to_string(version) + "}";
-      });
-    }
-  });
-  const std::span<const Packet> all(fx.eval_packets);
-  constexpr std::size_t kChunk = 512;
-  for (std::size_t i = 0; i < all.size() && !engine.done(); i += kChunk) {
-    engine.ingest(all.subspan(i, std::min(kChunk, all.size() - i)));
-  }
-  engine.finish();
-  return alerts;
+/// One watch daemon run over the fixture, retraining every 2 windows and
+/// publishing /statusz and /tracez to `server` when set. Returns the alerts
+/// it wrote, rendered without the health block.
+std::string run_watch_collecting(obs::TelemetryServer* server) {
+  const WatchFixtureFiles& fx = fixture_files();
+  WatchDaemonOptions o;
+  o.engine.window_us = kWindowUs;
+  o.engine.retrain_every_windows = 2;
+  o.models_path = fx.models;
+  o.capture_path = fx.capture;
+  o.alerts_path = fx.capture + ".alerts.json";
+  WatchDaemon daemon(o, testbed::annotate_devices, server);
+  EXPECT_EQ(daemon.run(), 0);
+  return alerts_to_json(alerts_in(o.alerts_path));
 }
 
 TEST_F(ObsHttpTest, ConcurrentScrapesDoNotPerturbAlerts) {
-  const auto& fx = watch_fixture();
   // Reference run: no server, no tracer, nobody scraping.
-  const auto baseline = run_watch_collecting(fx, nullptr);
-  ASSERT_FALSE(baseline.empty()) << "fixture must produce real alerts";
+  const std::string baseline = run_watch_collecting(nullptr);
+  ASSERT_NE(baseline.find("\"when_us\""), std::string::npos)
+      << "fixture must produce real alerts";
 
   obs::MetricsRegistry::global().reset_values();
   obs::health().reset();
@@ -381,7 +345,7 @@ TEST_F(ObsHttpTest, ConcurrentScrapesDoNotPerturbAlerts) {
     });
   }
 
-  const auto scraped = run_watch_collecting(fx, &server);
+  const std::string scraped = run_watch_collecting(&server);
   stop.store(true, std::memory_order_release);
   for (auto& th : scrapers) th.join();
   obs::Tracer::global().stop();
@@ -390,15 +354,7 @@ TEST_F(ObsHttpTest, ConcurrentScrapesDoNotPerturbAlerts) {
   EXPECT_GT(well_formed.load(), 0u);
 
   // The scrape load changed nothing: alert for alert, byte for byte.
-  ASSERT_EQ(scraped.size(), baseline.size());
-  for (std::size_t i = 0; i < scraped.size(); ++i) {
-    EXPECT_EQ(scraped[i].source, baseline[i].source) << i;
-    EXPECT_EQ(scraped[i].when, baseline[i].when) << i;
-    EXPECT_EQ(scraped[i].device, baseline[i].device) << i;
-    EXPECT_EQ(scraped[i].score, baseline[i].score) << i;
-    EXPECT_EQ(scraped[i].threshold, baseline[i].threshold) << i;
-    EXPECT_EQ(scraped[i].context, baseline[i].context) << i;
-  }
+  EXPECT_EQ(scraped, baseline);
 }
 
 }  // namespace

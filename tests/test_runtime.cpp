@@ -5,10 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "behaviot/core/pipeline.hpp"
 #include "behaviot/core/serialize.hpp"
@@ -85,6 +92,53 @@ TEST(ParallelFor, NestedCallsRunSeriallyWithoutDeadlock) {
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << i;
   }
+}
+
+TEST(ParallelFor, ConcurrentSubmittersNeverDeadlock) {
+  // Several threads submit to one pool at once, as the watch daemon's
+  // window path and a background retrain do. The yields keep every job's
+  // workers busy while the other submitters arrive. A hang is the failure
+  // under test, so a watchdog aborts with a message instead of leaving it to
+  // the ctest timeout.
+  runtime::ThreadPool pool({.threads = 4});
+  std::mutex mu;
+  std::condition_variable cv;
+  bool finished = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, std::chrono::seconds(60),
+                     [&] { return finished; })) {
+      std::fprintf(stderr,
+                   "ParallelFor.ConcurrentSubmittersNeverDeadlock: "
+                   "parallel_for still blocked after 60 s\n");
+      std::abort();
+    }
+  });
+  std::atomic<std::size_t> miscounted{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < 4; ++t) {
+    submitters.emplace_back([&] {
+      for (int call = 0; call < 2000; ++call) {
+        std::array<std::atomic<int>, 64> hits{};
+        pool.parallel_for(0, hits.size(), [&](std::size_t i) {
+          hits[i].fetch_add(1);
+          std::this_thread::yield();
+        });
+        for (const auto& h : hits) {
+          if (h.load() != 1) miscounted.fetch_add(1);
+        }
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (std::thread& s : submitters) s.join();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    finished = true;
+  }
+  cv.notify_one();
+  watchdog.join();
+  EXPECT_EQ(miscounted.load(), 0u);
 }
 
 TEST(ParallelMap, AlignsResultsWithInput) {

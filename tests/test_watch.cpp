@@ -13,35 +13,10 @@
 #include "behaviot/core/model_handle.hpp"
 #include "behaviot/flow/assembler.hpp"
 #include "behaviot/runtime/runtime.hpp"
-#include "behaviot/testbed/datasets.hpp"
+#include "watch_fixture.hpp"
 
 namespace behaviot {
 namespace {
-
-/// Shared fixture, built once per binary (heavy: trains real periodic
-/// models from generated idle traffic).
-struct WatchFixture {
-  BehaviorModelSet models;
-  std::vector<Packet> eval_packets;  ///< quarter-day capture to stream
-};
-
-const WatchFixture& fixture() {
-  static const WatchFixture* fx = [] {
-    auto* f = new WatchFixture;
-    const auto train = testbed::Datasets::idle(/*seed=*/11, /*days=*/0.5);
-    DomainResolver train_resolver;
-    const auto train_flows =
-        FlowAssembler().assemble(train.packets, train_resolver);
-    f->models.periodic = PeriodicModelSet::infer(train_flows, 0.5 * 86400.0);
-    // Routine traffic (automations + user commands) against idle-only models
-    // guarantees real deviation alerts, so the equality checks below are
-    // never vacuously comparing empty sets.
-    f->eval_packets =
-        testbed::Datasets::routine_week(/*seed=*/23, /*days=*/0.25).packets;
-    return f;
-  }();
-  return *fx;
-}
 
 /// The batch reference: assemble everything, then score the same window grid
 /// `score --window-s` walks.
@@ -105,20 +80,6 @@ WatchRun run_watch(const BehaviorModelSet& models,
   return run;
 }
 
-void expect_same_alerts(const std::vector<DeviationAlert>& a,
-                        const std::vector<DeviationAlert>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].source, b[i].source) << i;
-    EXPECT_EQ(a[i].when, b[i].when) << i;
-    EXPECT_EQ(a[i].device, b[i].device) << i;
-    EXPECT_EQ(a[i].score, b[i].score) << i;        // byte-identical, not near
-    EXPECT_EQ(a[i].threshold, b[i].threshold) << i;
-    EXPECT_EQ(a[i].context, b[i].context) << i;
-  }
-}
-
-constexpr std::int64_t kWindowUs = 30 * 60 * 1'000'000LL;  // 30 min
 
 TEST(ModelHandle, PublishBumpsVersionOldGenerationStaysValid) {
   BehaviorModelSet initial;

@@ -25,9 +25,11 @@
 //       grows with --follow 1), assemble flows with bounded memory, score
 //       each W-second deviation window as it closes, and optionally
 //       retrain + hot-swap models every N windows (--retrain-every N).
-//       On a finite capture the alerts are identical to
-//       `score --window-s W`. --max-windows / --until-s bound the run
-//       deterministically; --alerts is rewritten after every window.
+//       On a finite capture whose DNS/SNI bindings precede their flows the
+//       alerts are identical to `score --window-s W` (DESIGN.md §5h).
+//       --max-windows / --until-s bound the run deterministically; --alerts
+//       is rewritten after every window. The daemon is
+//       core/watch_daemon.hpp; this command is its flag front end.
 //
 //   behaviot mud --models models.txt --device <name>
 //       Emit a MUD-like profile for one device.
@@ -66,37 +68,28 @@
 #include <atomic>
 #include <cctype>
 #include <charconv>
-#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
-
-#include <sys/stat.h>
 
 #include "behaviot/analysis/alert_report.hpp"
 #include "behaviot/chaos/fault_injector.hpp"
-#include "behaviot/core/checkpoint.hpp"
-#include "behaviot/core/model_handle.hpp"
 #include "behaviot/core/mud_profile.hpp"
 #include "behaviot/core/pipeline.hpp"
 #include "behaviot/core/serialize.hpp"
 #include "behaviot/core/serialize_binary.hpp"
-#include "behaviot/core/watch_engine.hpp"
+#include "behaviot/core/watch_daemon.hpp"
 #include "behaviot/deviation/monitor.hpp"
 #include "behaviot/net/pcap.hpp"
-#include "behaviot/obs/crash_point.hpp"
 #include "behaviot/obs/export.hpp"
 #include "behaviot/obs/health.hpp"
 #include "behaviot/obs/metrics.hpp"
@@ -105,39 +98,36 @@
 #include "behaviot/obs/span.hpp"
 #include "behaviot/obs/telemetry_server.hpp"
 #include "behaviot/obs/trace.hpp"
+#include "behaviot/testbed/datasets.hpp"
 
 using namespace behaviot;
 
 namespace {
 
-/// The run's fault injector (nullptr without --chaos). Lives for the whole
-/// command so feature-stage faults stay armed while the pipeline runs.
-std::unique_ptr<chaos::FaultInjector> g_chaos;
+/// The run's fault injector (nullptr without --chaos). Owned by main(), so it
+/// lives for the whole command — feature-stage faults stay armed while the
+/// pipeline runs — and is torn down, publishing its fault counters, while
+/// the metrics registry it publishes into still exists.
+chaos::FaultInjector* g_chaos = nullptr;
 
 /// The run's telemetry server (nullptr without --http). Started before the
 /// command dispatch so the endpoints answer for the whole run, including
 /// model load and ingest.
 std::unique_ptr<obs::TelemetryServer> g_telemetry;
 
-/// Shared /statusz document for `watch`: the window sink rewrites it, the
-/// server thread reads it. The mutex is the whole consistency story — the
-/// served document is always one complete window's status.
-struct WatchStatus {
-  std::mutex mu;
-  std::string json = "null";
-};
-
-/// Graceful-shutdown flag for `watch`. The first SIGINT/SIGTERM asks the
-/// stream loop to stop: the current window is finished and every snapshot —
-/// alerts, metrics, trace, checkpoint — is flushed before a clean exit 0.
-/// A second signal aborts immediately with the conventional 128+SIGINT
-/// code (no flushing; equivalent to a crash, which --resume recovers from).
+/// Graceful shutdown for `watch`. The first SIGINT/SIGTERM asks the daemon
+/// to stop at the last closed window (WatchDaemon::request_stop), after
+/// which --resume continues the run byte-identically. A second signal
+/// aborts immediately with the conventional 128+SIGINT code — equivalent to
+/// a crash, which --resume recovers from too.
 std::atomic<int> g_signal_count{0};
+std::atomic<WatchDaemon*> g_watch_daemon{nullptr};
 
 extern "C" void handle_watch_signal(int) {
   if (g_signal_count.fetch_add(1, std::memory_order_relaxed) >= 1) {
     std::_Exit(130);
   }
+  if (WatchDaemon* daemon = g_watch_daemon.load()) daemon->request_stop();
 }
 
 int usage() {
@@ -202,9 +192,11 @@ int usage() {
                " --retrain-every\n"
                "      windows; --alerts is rewritten after every window."
                " SIGTERM/SIGINT\n"
-               "      finish the current window and flush every snapshot"
-               " before exit 0\n"
-               "      (a second signal exits immediately)\n"
+               "      end the run at the last closed window and flush every"
+               " snapshot before\n"
+               "      exit 0; --resume continues it byte-identically (a"
+               " second signal exits\n"
+               "      immediately)\n"
                "  mud      --models MODELS --device NAME\n"
                "  check    --models MODELS --capture FILE.pcap"
                " --device NAME\n"
@@ -365,49 +357,36 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv) {
   return flags;
 }
 
-/// Reads a pcap and restores device identity from the catalog's lease table.
-/// With --chaos, the configured packet faults are applied here — right after
-/// ingestion, before any pipeline stage sees the traffic.
+/// Restores device identity on captured packets and, with --chaos, applies
+/// the configured packet faults — right after ingestion, before any
+/// pipeline stage sees the traffic. Batch commands run it once per
+/// capture, `watch` once per chunk.
+void prepare_packets(std::vector<Packet>& packets) {
+  testbed::annotate_devices(packets);
+  if (g_chaos != nullptr) g_chaos->apply(packets);
+}
+
+void print_chaos_summary() {
+  if (g_chaos == nullptr) return;
+  std::fprintf(stderr, "chaos: %llu faults injected (%s)\n",
+               static_cast<unsigned long long>(g_chaos->stats().total()),
+               g_chaos->spec().summary().c_str());
+}
+
 std::vector<Packet> load_capture(const std::string& path, ParsePolicy policy) {
   auto parsed = read_pcap(path, policy);
-  const auto& catalog = testbed::Catalog::standard();
-  for (Packet& p : parsed.packets) {
-    const auto* device = catalog.by_ip(p.tuple.src.ip);
-    if (device != nullptr) p.device = device->id;
-  }
+  prepare_packets(parsed.packets);
   std::fprintf(stderr, "loaded %s: %s\n", path.c_str(),
                parsed.stats.summary().c_str());
-  if (g_chaos != nullptr) {
-    g_chaos->apply(parsed.packets);
-    std::fprintf(stderr, "chaos: %llu faults injected (%s)\n",
-                 static_cast<unsigned long long>(g_chaos->stats().total()),
-                 g_chaos->spec().summary().c_str());
-  }
+  print_chaos_summary();
   return std::move(parsed.packets);
 }
 
-/// Loads a model file under the selected policy, reporting any sections a
-/// lenient load had to abandon.
-BehaviorModelSet load_models_reporting(const std::string& path,
-                                       ParsePolicy policy) {
-  ParseStats stats;
-  BehaviorModelSet models = load_models_file(path, policy, &stats);
-  if (stats.sections_dropped > 0) {
-    std::fprintf(stderr,
-                 "warning: %s is damaged — %zu model section(s) dropped by"
-                 " the lenient load (re-run with --parse strict for the"
-                 " offending byte)\n",
-                 path.c_str(), stats.sections_dropped);
-  }
-  return models;
-}
-
-DomainResolver make_resolver() {
-  DomainResolver resolver;
-  testbed::GeneratedCapture rdns_only;
-  testbed::TrafficGenerator::add_static_rdns(rdns_only);
-  testbed::configure_resolver(resolver, rdns_only);
-  return resolver;
+/// The value of a string flag; empty when absent.
+std::string flag_value(const std::map<std::string, std::string>& flags,
+                       const char* name) {
+  const auto it = flags.find(name);
+  return it == flags.end() ? std::string() : it->second;
 }
 
 int cmd_simulate(const std::map<std::string, std::string>& flags) {
@@ -450,7 +429,7 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
   const double window_days = parse_positive(flags, "window-days", 1.0);
 
   const auto packets = load_capture(flags.at("idle"), parse_policy(flags));
-  DomainResolver resolver = make_resolver();
+  DomainResolver resolver = testbed::gateway_resolver();
   FlowAssembler assembler;
   const auto flows = assembler.assemble(packets, resolver);
   std::fprintf(stderr, "assembled %zu flows\n", flows.size());
@@ -468,7 +447,7 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
 int cmd_show(const std::map<std::string, std::string>& flags) {
   if (flags.count("models") == 0) return usage();
   const BehaviorModelSet models =
-      load_models_reporting(flags.at("models"), parse_policy(flags));
+      load_models_file_reporting(flags.at("models"), parse_policy(flags));
   const auto& catalog = testbed::Catalog::standard();
 
   const testbed::DeviceInfo* only = nullptr;
@@ -509,13 +488,13 @@ int cmd_score(const std::map<std::string, std::string>& flags) {
                 seconds(parse_positive(flags, "window-s", 1.0)))
           : std::nullopt;
   const BehaviorModelSet models =
-      load_models_reporting(flags.at("models"), parse_policy(flags));
+      load_models_file_reporting(flags.at("models"), parse_policy(flags));
   const auto packets = load_capture(flags.at("capture"), parse_policy(flags));
   if (packets.empty()) {
     std::fprintf(stderr, "empty capture\n");
     return 1;
   }
-  DomainResolver resolver = make_resolver();
+  DomainResolver resolver = testbed::gateway_resolver();
   FlowAssembler assembler;
   const auto flows = assembler.assemble(packets, resolver);
 
@@ -523,8 +502,9 @@ int cmd_score(const std::map<std::string, std::string>& flags) {
   std::vector<DeviationAlert> alerts;
   if (window_us) {
     // Windowed scoring: evaluate successive W-second windows over the whole
-    // capture. This is the grid `behaviot watch` streams over, so on a finite
-    // capture the two commands emit identical alerts.
+    // capture. This is the grid `behaviot watch` streams over; the two
+    // commands emit identical alerts where DNS/SNI bindings precede their
+    // flows (DESIGN.md §5h).
     const Timestamp t0 = flows.front().start;
     const Timestamp end = flows.back().end + seconds(1.0);
     std::size_t windows = 0;
@@ -558,15 +538,7 @@ int cmd_score(const std::map<std::string, std::string>& flags) {
                 flows.size(), alerts.size());
   }
 
-  const auto& catalog = testbed::Catalog::standard();
-  for (const auto& a : alerts) {
-    const char* device_name = a.device < catalog.size()
-                                  ? catalog.by_id(a.device).name.c_str()
-                                  : "(system)";
-    std::printf("  [%s] %-18s score %6.2f (thr %4.2f)  %s\n",
-                to_string(a.source), device_name, a.score, a.threshold,
-                a.context.substr(0, 80).c_str());
-  }
+  for (const auto& a : alerts) print_alert_line(stdout, a);
   if (flags.count("alerts")) {
     const std::string& path = flags.at("alerts");
     const obs::HealthSnapshot health = obs::health().snapshot();
@@ -582,538 +554,79 @@ int cmd_score(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-/// Streaming counterpart of `score --window-s`: tail the capture through the
-/// bounded PcapReader + StreamingFlowAssembler, evaluate each window as the
-/// stream clock closes it, and hot-swap retrained models between windows.
+/// Streaming counterpart of `score --window-s`: the flag front end of
+/// WatchDaemon (core/watch_daemon.hpp).
 int cmd_watch(const std::map<std::string, std::string>& flags) {
-  const bool resuming = flags.count("resume") > 0;
-  if (flags.count("capture") == 0 ||
-      (!resuming && flags.count("models") == 0)) {
+  WatchDaemonOptions o;
+  o.resume_path = flag_value(flags, "resume");
+  o.models_path = flag_value(flags, "models");
+  o.capture_path = flag_value(flags, "capture");
+  if (o.capture_path.empty() ||
+      (o.resume_path.empty() && o.models_path.empty())) {
     return usage();
   }
-  // Numeric flags first (usage errors exit 2 before any file is touched),
-  // then the checkpoint load (whose pinned option grid overrides the
-  // deterministic knobs), then the model load.
-  WatchOptions opts;
+  // Numeric flags first: a usage error exits 2 before any file is touched.
+  WatchOptions& e = o.engine;
   if (flags.count("window-s")) {
-    opts.window_us = seconds(parse_positive(flags, "window-s", 1.0));
+    e.window_us = seconds(parse_positive(flags, "window-s", 1.0));
   }
-  if (flags.count("max-windows")) {
-    opts.max_windows =
-        static_cast<std::size_t>(parse_count(flags, "max-windows", 0));
-  }
+  e.max_windows = parse_count(flags, "max-windows", e.max_windows);
   if (flags.count("until-s")) {
-    opts.until = Timestamp(seconds(parse_non_negative(flags, "until-s", 0.0)));
+    e.until = Timestamp(seconds(parse_non_negative(flags, "until-s", 0.0)));
   }
-  if (flags.count("retrain-every")) {
-    opts.retrain_every_windows =
-        static_cast<std::size_t>(parse_count(flags, "retrain-every", 0));
-  }
+  e.retrain_every_windows =
+      parse_count(flags, "retrain-every", e.retrain_every_windows);
   if (flags.count("horizon-s")) {
-    opts.assembler.reorder_horizon_us =
+    e.assembler.reorder_horizon_us =
         seconds(parse_non_negative(flags, "horizon-s", 0.0));
   }
-  if (flags.count("max-open-flows")) {
-    opts.assembler.max_open_flows =
-        static_cast<std::size_t>(parse_count(flags, "max-open-flows", 0));
-  }
-  if (flags.count("max-buffered-packets")) {
-    opts.assembler.max_buffered_packets = static_cast<std::size_t>(
-        parse_count(flags, "max-buffered-packets", 0));
-  }
-  if (flags.count("publish-models")) {
-    opts.publish_models_path = flags.at("publish-models");
-  }
-  if (flags.count("retrain-timeout-s")) {
-    opts.retrain_timeout_s = parse_non_negative(flags, "retrain-timeout-s",
-                                                0.0);
-  }
-  const long poll_ms = static_cast<long>(parse_count(flags, "poll-ms", 200));
-  const long reopen_backoff_max_ms = static_cast<long>(std::max<std::uint64_t>(
+  e.assembler.max_open_flows =
+      parse_count(flags, "max-open-flows", e.assembler.max_open_flows);
+  e.assembler.max_buffered_packets = parse_count(
+      flags, "max-buffered-packets", e.assembler.max_buffered_packets);
+  e.publish_models_path = flag_value(flags, "publish-models");
+  e.retrain_timeout_s =
+      parse_non_negative(flags, "retrain-timeout-s", e.retrain_timeout_s);
+  o.parse = parse_policy(flags);
+  o.follow = flags.count("follow") && flags.at("follow") != "0";
+  o.poll_ms = static_cast<long>(parse_count(flags, "poll-ms", 200));
+  o.reopen_backoff_max_ms = static_cast<long>(std::max<std::uint64_t>(
       1, parse_count(flags, "reopen-backoff-max-ms", 5000)));
-  const std::string checkpoint_path =
-      flags.count("checkpoint") ? flags.at("checkpoint") : "";
-  const std::uint64_t checkpoint_every =
-      parse_count(flags, "checkpoint-every", 1);
-  if (checkpoint_every == 0) {
+  o.alerts_path = flag_value(flags, "alerts");
+  o.metrics_path = flag_value(flags, "metrics");
+  o.trace_path = flag_value(flags, "trace");
+  o.rotation.max_bytes = parse_count(flags, "rotate-max-bytes", 0);
+  o.rotation.keep =
+      static_cast<std::size_t>(parse_count(flags, "rotate-keep", 3));
+  o.checkpoint_path = flag_value(flags, "checkpoint");
+  o.checkpoint_every = parse_count(flags, "checkpoint-every", 1);
+  if (o.checkpoint_every == 0) {
     reject_flag("checkpoint-every", flags.at("checkpoint-every"),
                 "a positive window count");
   }
-  obs::SnapshotRotation rotation;
-  rotation.max_bytes = parse_count(flags, "rotate-max-bytes", 0);
-  rotation.keep =
-      static_cast<std::size_t>(parse_count(flags, "rotate-keep", 3));
 
-  // --resume: restore the whole daemon — health registry, pinned models,
-  // engine state and the capture cursor — from the newest intact checkpoint
-  // generation (FILE strictly, FILE.prev leniently as fallback).
-  std::optional<WatchCheckpoint> resume_cp;
-  if (resuming) {
-    std::string source;
-    resume_cp.emplace(load_checkpoint_resilient(flags.at("resume"), &source));
-    std::fprintf(stderr,
-                 "resume: restored %s (window %zu, input offset %llu,"
-                 " models v%llu)\n",
-                 source.c_str(), resume_cp->engine.windows,
-                 static_cast<unsigned long long>(resume_cp->input_offset),
-                 static_cast<unsigned long long>(resume_cp->model_version));
-    obs::health().restore(resume_cp->health);
-    // The checkpointed deterministic grid wins over CLI flags: the
-    // continuation must share window geometry, retrain cadence and
-    // assembler behavior with the run that wrote the checkpoint, or the
-    // byte-identity guarantee is meaningless. Operational knobs (--follow,
-    // --max-windows, --until-s, snapshot paths) stay CLI-provided.
-    opts.window_us = resume_cp->options.window_us;
-    opts.retrain_every_windows =
-        static_cast<std::size_t>(resume_cp->options.retrain_every_windows);
-    opts.assembler.base.burst_gap_us = resume_cp->options.burst_gap_us;
-    opts.assembler.base.drop_infrastructure =
-        resume_cp->options.drop_infrastructure;
-    opts.assembler.base.max_ts_regression_us =
-        resume_cp->options.max_ts_regression_us;
-    opts.assembler.reorder_horizon_us = resume_cp->options.reorder_horizon_us;
-    opts.assembler.max_open_flows =
-        static_cast<std::size_t>(resume_cp->options.max_open_flows);
-    opts.assembler.max_buffered_packets =
-        static_cast<std::size_t>(resume_cp->options.max_buffered_packets);
-  }
-
-  // The handle starts from the checkpoint's embedded .bbm image (version
-  // counter continued, so post-resume publishes number their generations
-  // exactly as the uninterrupted run would) or from --models at version 1.
-  ModelHandle handle{BehaviorModelSet{}};
-  if (resuming) {
-    const std::string& image = resume_cp->models_image;
-    handle.restore(
-        load_models_binary({reinterpret_cast<const std::uint8_t*>(
-                                image.data()),
-                            image.size()}),
-        resume_cp->model_version);
-  } else {
-    handle.restore(load_models_reporting(flags.at("models"),
-                                         parse_policy(flags)),
-                   1);
-  }
-  WatchEngine engine(handle, make_resolver(), opts);
-  if (resuming) {
-    engine.import_state(std::move(resume_cp->engine));
-  }
-
-  const auto& catalog = testbed::Catalog::standard();
-  // Every telemetry output is rewritten atomically after each closed window
-  // (and archived once it crosses the rotation cap), so a kill -9 at any
-  // moment leaves complete previous-generation files behind.
-  std::optional<obs::SnapshotWriter> alerts_writer;
-  if (flags.count("alerts")) {
-    alerts_writer.emplace(flags.at("alerts"), rotation);
-  }
-  std::optional<obs::SnapshotWriter> metrics_writer;
-  if (flags.count("metrics")) {
-    metrics_writer.emplace(flags.at("metrics"), rotation);
-  }
-  std::optional<obs::SnapshotWriter> trace_writer;
-  if (flags.count("trace")) {
-    trace_writer.emplace(flags.at("trace"), rotation);
-  }
-  auto status = std::make_shared<WatchStatus>();
-  if (g_telemetry != nullptr) {
-    g_telemetry->set_status_provider([status]() {
-      std::lock_guard<std::mutex> lock(status->mu);
-      return status->json;
-    });
-  }
-  std::vector<DeviationAlert> all_alerts;
-  if (resuming && !resume_cp->alerts_json.empty()) {
-    // Continue the alerts document exactly where the checkpoint froze it
-    // (post-rotation state included), so the resumed daemon's snapshot
-    // files carry on byte-identically.
-    all_alerts = alerts_from_json(resume_cp->alerts_json);
-  }
-
-  // Capture-side cursor the checkpoints pin: updated right before every
-  // ingest() call, when all packets of the chunk lie below it. The sink
-  // fires inside ingest() with the whole chunk inside engine state, so a
-  // resume replaying from this offset replays no packet twice, loses none.
-  std::uint64_t input_offset = resuming ? resume_cp->input_offset : 0;
-  struct CheckpointTelemetry {
-    bool written = false;
-    std::size_t window = 0;
-    std::uint64_t bytes = 0;
-    double write_ms = 0.0;
-    std::chrono::steady_clock::time_point at{};
-  } ck;
-  auto write_checkpoint_now = [&](std::size_t window_index,
-                                  const obs::HealthSnapshot& health) {
-    if (checkpoint_path.empty()) return;
-    WatchCheckpoint cp;
-    cp.options.window_us = opts.window_us;
-    cp.options.retrain_every_windows = opts.retrain_every_windows;
-    cp.options.burst_gap_us = opts.assembler.base.burst_gap_us;
-    cp.options.drop_infrastructure = opts.assembler.base.drop_infrastructure;
-    cp.options.max_ts_regression_us = opts.assembler.base.max_ts_regression_us;
-    cp.options.reorder_horizon_us = opts.assembler.reorder_horizon_us;
-    cp.options.max_open_flows = opts.assembler.max_open_flows;
-    cp.options.max_buffered_packets = opts.assembler.max_buffered_packets;
-    cp.engine = engine.export_state();
-    cp.models_image = save_models_binary(*handle.acquire());
-    cp.model_version = handle.version();
-    cp.input_offset = input_offset;
-    cp.alerts_json = alerts_to_json(all_alerts, &health);
-    cp.health = health;
-    const auto t_begin = std::chrono::steady_clock::now();
-    obs::crash_point("window.before_checkpoint");
-    std::string error;
-    if (!write_checkpoint_rotating(checkpoint_path, cp, &error)) {
-      std::fprintf(stderr, "error: cannot write checkpoint: %s\n",
-                   error.c_str());
-      obs::health().degrade("watch.checkpoint",
-                            "checkpoint-write-failed: " + error);
-      return;
+  WatchDaemon daemon(std::move(o), prepare_packets, g_telemetry.get());
+  // The handlers point at this daemon only while it runs.
+  struct SignalScope {
+    explicit SignalScope(WatchDaemon& d) {
+      g_signal_count.store(0);
+      g_watch_daemon = &d;
+      std::signal(SIGINT, handle_watch_signal);
+      std::signal(SIGTERM, handle_watch_signal);
     }
-    obs::crash_point("window.after_checkpoint");
-    ck.written = true;
-    ck.window = window_index;
-    ck.write_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t_begin)
-                      .count();
-    ck.at = std::chrono::steady_clock::now();
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(checkpoint_path, ec);
-    ck.bytes = ec ? 0 : static_cast<std::uint64_t>(size);
-    obs::counter("checkpoint.writes").inc();
-    obs::gauge("checkpoint.bytes").set(static_cast<double>(ck.bytes));
-    obs::gauge("checkpoint.last_window")
-        .set(static_cast<double>(window_index));
-    obs::histogram("checkpoint.write_ms").observe(ck.write_ms);
-  };
-  engine.set_window_sink([&](const WatchWindowReport& r) {
-    std::string note;
-    if (r.swapped) {
-      note = "  [models v" + std::to_string(r.model_version) + " swapped in]";
-    }
-    std::printf("window %4zu [%11.1fs, %11.1fs)  %5zu flows  %zu alert(s)%s\n",
-                r.index, static_cast<double>(r.start.micros()) / 1e6,
-                static_cast<double>(r.end.micros()) / 1e6, r.flows,
-                r.alerts.size(), note.c_str());
-    for (const auto& a : r.alerts) {
-      const char* device_name = a.device < catalog.size()
-                                    ? catalog.by_id(a.device).name.c_str()
-                                    : "(system)";
-      std::printf("  [%s] %-18s score %6.2f (thr %4.2f)  %s\n",
-                  to_string(a.source), device_name, a.score, a.threshold,
-                  a.context.substr(0, 80).c_str());
-    }
-    all_alerts.insert(all_alerts.end(), r.alerts.begin(), r.alerts.end());
-    const obs::HealthSnapshot health = obs::health().snapshot();
-    if (alerts_writer) {
-      // Rewritten whole after every window: the file is always a complete,
-      // valid report of the alerts emitted since the last rotation.
-      if (!alerts_writer->write(alerts_to_json(all_alerts, &health),
-                                r.index)) {
-        std::fprintf(stderr, "error: cannot write alerts: %s\n",
-                     alerts_writer->last_error().c_str());
-      } else if (alerts_writer->rotated_last_write()) {
-        // The archived generation holds everything so far; the next
-        // generation reports only what follows. Concatenating the archives
-        // with the live file reproduces the unrotated report exactly.
-        all_alerts.clear();
-      }
-    }
-    if ((r.index + 1) % checkpoint_every == 0) {
-      // The window sink is the engine's quiescent point (no retrain in
-      // flight), so export_state() here is exact; the checkpoint cadence
-      // keys off the absolute window index so interrupted and uninterrupted
-      // runs checkpoint at identical instants.
-      write_checkpoint_now(r.index, health);
-    }
-    if (metrics_writer || g_telemetry != nullptr) {
-      obs::update_process_gauges();
-    }
-    if (metrics_writer) {
-      const auto snap = obs::MetricsRegistry::global().snapshot();
-      const std::string& mpath = metrics_writer->path();
-      const bool prom =
-          mpath.size() >= 5 && mpath.rfind(".prom") == mpath.size() - 5;
-      if (!metrics_writer->write(prom ? obs::to_prometheus(snap, health)
-                                      : obs::to_json(snap, health),
-                                 r.index)) {
-        std::fprintf(stderr, "error: cannot write metrics: %s\n",
-                     metrics_writer->last_error().c_str());
-      }
-    }
-    if (obs::Tracer::enabled() &&
-        (trace_writer || g_telemetry != nullptr)) {
-      // The window sink is the stream's quiescent point (the retrain thread
-      // is joined and pool workers are idle), so the tracer's snapshot
-      // contract holds — this is where the rings may be read and published.
-      const std::string doc =
-          obs::trace_to_chrome_json(obs::Tracer::global().snapshot());
-      if (trace_writer && !trace_writer->write(doc, r.index)) {
-        std::fprintf(stderr, "error: cannot write trace: %s\n",
-                     trace_writer->last_error().c_str());
-      }
-      if (g_telemetry != nullptr) g_telemetry->publish_trace_json(doc);
-    }
-    if (g_telemetry != nullptr) {
-      // Refresh /statusz: one complete JSON document per closed window.
-      const auto snap = obs::MetricsRegistry::global().snapshot();
-      const auto quantiles = [&snap](const char* name) {
-        std::ostringstream q;
-        const auto it = snap.histograms.find(name);
-        if (it == snap.histograms.end()) {
-          q << "{\"count\":0}";
-        } else {
-          q << "{\"count\":" << it->second.count
-            << ",\"p50\":" << obs::histogram_quantile(it->second, 0.5)
-            << ",\"p95\":" << obs::histogram_quantile(it->second, 0.95)
-            << ",\"p99\":" << obs::histogram_quantile(it->second, 0.99)
-            << "}";
-        }
-        return q.str();
-      };
-      const auto wm = engine.last_seal_watermark();
-      std::ostringstream js;
-      js << "{\"window\":" << r.index << ",\"window_end_s\":"
-         << static_cast<double>(r.end.micros()) / 1e6
-         << ",\"seal_watermark_s\":";
-      if (wm) {
-        js << static_cast<double>(wm->micros()) / 1e6 << ",\"watermark_lag_s\":"
-           << static_cast<double>(wm->micros() - r.end.micros()) / 1e6;
-      } else {
-        js << "null,\"watermark_lag_s\":null";
-      }
-      js << ",\"model_version\":" << r.model_version
-         << ",\"swaps\":" << engine.swaps()
-         << ",\"alerts\":" << engine.alerts_emitted()
-         << ",\"open_flows\":" << engine.open_flows()
-         << ",\"buffered_packets\":" << engine.buffered_packets()
-         << ",\"retrain_failures\":" << engine.retrain_failures()
-         << ",\"window_close_latency_ms\":"
-         << quantiles("watch.window_close_latency_ms")
-         << ",\"retrain_duration_ms\":"
-         << quantiles("watch.retrain_duration_ms");
-      // Checkpoint staleness: operators alert on age_s exceeding a few
-      // window widths — the daemon is alive but no longer durable.
-      js << ",\"checkpoint\":";
-      if (ck.written) {
-        js << "{\"window\":" << ck.window << ",\"bytes\":" << ck.bytes
-           << ",\"write_ms\":" << ck.write_ms << ",\"age_s\":"
-           << std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            ck.at)
-                  .count()
-           << "}";
-      } else {
-        js << "null";
-      }
-      js << "}";
-      std::lock_guard<std::mutex> lock(status->mu);
-      status->json = js.str();
-    }
-    std::fflush(stdout);
-  });
-
-  const std::string capture_path = flags.at("capture");
-  const bool follow = flags.count("follow") && flags.at("follow") != "0";
-  PcapReaderOptions ropts;
-  ropts.policy = parse_policy(flags);
-
-  // Graceful shutdown: the first SIGINT/SIGTERM breaks the stream loop so
-  // the current window is finished and every snapshot (alerts, metrics,
-  // trace, checkpoint) flushed before exit 0; a second signal exits hard.
-  g_signal_count.store(0);
-  std::signal(SIGINT, handle_watch_signal);
-  std::signal(SIGTERM, handle_watch_signal);
-
-  // Follow-mode self-healing: fingerprint the input on every EOF poll. A
-  // vanished path, a shrunken file or a changed inode means the capture was
-  // rotated or truncated under us — the current reader is abandoned and the
-  // path reopened from its (new) pcap header, with capped exponential
-  // backoff between attempts.
-  struct InputFingerprint {
-    bool valid = false;
-    std::uint64_t size = 0;
-    std::uint64_t inode = 0;
-    std::uint64_t device = 0;
-  } fingerprint;
-  bool reopen_requested = false;
-  auto input_intact = [&]() {
-    struct stat st {};
-    if (::stat(capture_path.c_str(), &st) != 0) return false;
-    if (fingerprint.valid &&
-        (static_cast<std::uint64_t>(st.st_ino) != fingerprint.inode ||
-         static_cast<std::uint64_t>(st.st_dev) != fingerprint.device ||
-         static_cast<std::uint64_t>(st.st_size) < fingerprint.size)) {
-      return false;
-    }
-    fingerprint = {true, static_cast<std::uint64_t>(st.st_size),
-                   static_cast<std::uint64_t>(st.st_ino),
-                   static_cast<std::uint64_t>(st.st_dev)};
-    return true;
-  };
-  auto interruptible_sleep = [&](long ms) {
-    // Short slices so a shutdown signal cuts the wait, not one full backoff.
-    while (ms > 0 && g_signal_count.load() == 0) {
-      const long slice = std::min<long>(ms, 50);
-      std::this_thread::sleep_for(std::chrono::milliseconds(slice));
-      ms -= slice;
+    ~SignalScope() {
+      std::signal(SIGINT, SIG_DFL);
+      std::signal(SIGTERM, SIG_DFL);
+      g_watch_daemon = nullptr;
     }
   };
-  if (follow) {
-    // Tail mode: at EOF verify the input is still the same growing file,
-    // then sleep one poll interval and retry. A --max-windows / --until-s
-    // stop or a shutdown signal ends the loop; a rotated/truncated input
-    // requests a reopen instead.
-    ropts.on_eof = [&]() {
-      if (engine.done() || g_signal_count.load() != 0) return false;
-      if (!input_intact()) {
-        reopen_requested = true;
-        return false;
-      }
-      interruptible_sleep(poll_ms);
-      return g_signal_count.load() == 0;
-    };
-  }
-
-  // Chunked ingest: device annotation and chaos faults are applied per chunk,
-  // exactly as load_capture() does for the batch commands.
-  std::vector<Packet> chunk;
-  constexpr std::size_t kChunk = 1024;
-  std::optional<std::ifstream> input;  // outlives reader (reader holds a ref)
-  std::optional<PcapReader> reader;
-  auto flush_chunk = [&]() {
-    if (chunk.empty()) return;
-    for (Packet& p : chunk) {
-      const auto* device = catalog.by_ip(p.tuple.src.ip);
-      if (device != nullptr) p.device = device->id;
-    }
-    if (g_chaos != nullptr) g_chaos->apply(chunk);
-    if (reader) input_offset = reader->consumed_offset();
-    engine.ingest(chunk);
-    chunk.clear();
-  };
-
-  bool first_open = true;
-  long backoff_ms = std::max<long>(1, poll_ms);
-  while (!engine.done() && g_signal_count.load() == 0) {
-    reader.reset();
-    input.emplace(capture_path, std::ios::binary);
-    if (*input) {
-      fingerprint.valid = false;
-      (void)input_intact();
-      PcapReaderOptions per_open = ropts;
-      // The checkpointed capture cursor applies to the first open only: a
-      // reopened (rotated) file is a new capture, read from its header on.
-      per_open.resume_offset =
-          (first_open && resuming) ? resume_cp->input_offset : 0;
-      try {
-        reader.emplace(*input, per_open);
-      } catch (const ParseError& e) {
-        if (!follow) throw;
-        // Truncated or half-written global header: transient in tail mode —
-        // the writer may still be producing the file.
-        std::fprintf(stderr, "watch: cannot read %s (%s) — retrying\n",
-                     capture_path.c_str(), e.what());
-      }
-    } else if (!follow) {
-      std::fprintf(stderr, "error: cannot open %s\n", capture_path.c_str());
-      return 1;
-    }
-    if (!reader) {
-      obs::counter("watch.input_reopens").inc();
-      obs::health().degrade("watch.input", "input-reopened");
-      interruptible_sleep(backoff_ms);
-      backoff_ms = std::min<long>(backoff_ms * 2, reopen_backoff_max_ms);
-      continue;
-    }
-    first_open = false;
-    reopen_requested = false;
-    bool read_error = false;
-    while (!engine.done() && g_signal_count.load() == 0) {
-      std::optional<Packet> packet;
-      try {
-        packet = reader->next();
-      } catch (const ParseError& e) {
-        if (!follow) throw;
-        std::fprintf(stderr, "watch: read error on %s (%s) — reopening\n",
-                     capture_path.c_str(), e.what());
-        read_error = true;
-        break;
-      }
-      if (!packet) break;
-      backoff_ms = std::max<long>(1, poll_ms);  // a healthy read resets it
-      chunk.push_back(*packet);
-      if (chunk.size() >= kChunk) flush_chunk();
-    }
-    if (!follow || engine.done() || g_signal_count.load() != 0) break;
-    if (!reopen_requested && !read_error) break;
-    obs::counter("watch.input_reopens").inc();
-    obs::health().degrade("watch.input", "input-reopened");
-    std::fprintf(stderr, "watch: input %s %s — reopening from the start\n",
-                 capture_path.c_str(),
-                 read_error ? "hit a read error"
-                            : "was rotated or truncated");
-    interruptible_sleep(backoff_ms);
-    backoff_ms = std::min<long>(backoff_ms * 2, reopen_backoff_max_ms);
-  }
-  if (!engine.done()) flush_chunk();
-  if (g_signal_count.load() != 0) {
-    std::fprintf(stderr,
-                 "watch: shutdown signal received — finishing the stream and"
-                 " flushing final snapshots\n");
-  }
-  engine.finish();
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
+  int rc = 0;
   {
-    // Final snapshot flush. The sink keeps these fresh per window, but a
-    // run that closes no further window — a --resume picking up at the end
-    // of the capture, or a SIGTERM before the first close — must still
-    // leave complete documents behind.
-    const obs::HealthSnapshot health = obs::health().snapshot();
-    const std::size_t last_window =
-        engine.windows_evaluated() == 0 ? 0 : engine.windows_evaluated() - 1;
-    if (alerts_writer &&
-        !alerts_writer->write(alerts_to_json(all_alerts, &health),
-                              last_window)) {
-      std::fprintf(stderr, "error: cannot write alerts: %s\n",
-                   alerts_writer->last_error().c_str());
-    }
-    if (metrics_writer) {
-      obs::update_process_gauges();
-      const auto snap = obs::MetricsRegistry::global().snapshot();
-      const std::string& mpath = metrics_writer->path();
-      const bool prom =
-          mpath.size() >= 5 && mpath.rfind(".prom") == mpath.size() - 5;
-      if (!metrics_writer->write(prom ? obs::to_prometheus(snap, health)
-                                      : obs::to_json(snap, health),
-                                 last_window)) {
-        std::fprintf(stderr, "error: cannot write metrics: %s\n",
-                     metrics_writer->last_error().c_str());
-      }
-    }
+    const SignalScope scope(daemon);
+    rc = daemon.run();
   }
-  if (!checkpoint_path.empty()) {
-    // Final checkpoint after the stream is fully drained, regardless of
-    // cadence: a --resume from it knows the run completed.
-    write_checkpoint_now(
-        engine.windows_evaluated() == 0 ? 0 : engine.windows_evaluated() - 1,
-        obs::health().snapshot());
-  }
-
-  const StreamingAssemblerStats& st = engine.assembler_stats();
-  std::printf("watched %zu windows: %llu flows, %zu alerts, %llu model"
-              " swap(s); peak %zu open flows / %zu buffered packets\n",
-              engine.windows_evaluated(),
-              static_cast<unsigned long long>(st.flows_emitted),
-              engine.alerts_emitted(),
-              static_cast<unsigned long long>(engine.swaps()),
-              st.peak_open_flows, st.peak_buffered_packets);
-  if (g_chaos != nullptr) {
-    std::fprintf(stderr, "chaos: %llu faults injected (%s)\n",
-                 static_cast<unsigned long long>(g_chaos->stats().total()),
-                 g_chaos->spec().summary().c_str());
-  }
-  return 0;
+  if (rc == 0) print_chaos_summary();
+  return rc;
 }
 
 /// Converts a model file between the text (.txt) and binary (.bbm) formats;
@@ -1123,7 +636,7 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
 int cmd_convert(const std::map<std::string, std::string>& flags) {
   if (flags.count("in") == 0 || flags.count("out") == 0) return usage();
   const BehaviorModelSet models =
-      load_models_reporting(flags.at("in"), parse_policy(flags));
+      load_models_file_reporting(flags.at("in"), parse_policy(flags));
   save_models_file(flags.at("out"), models);
   if (is_binary_model_path(flags.at("out"))) {
     // Verify the written image with the zero-copy view: re-validates the
@@ -1159,7 +672,7 @@ int cmd_convert(const std::map<std::string, std::string>& flags) {
 int cmd_health(const std::map<std::string, std::string>& flags) {
   if (flags.count("capture") == 0) return usage();
   const auto packets = load_capture(flags.at("capture"), parse_policy(flags));
-  DomainResolver resolver = make_resolver();
+  DomainResolver resolver = testbed::gateway_resolver();
   FlowAssembler assembler;
   const auto flows = assembler.assemble(packets, resolver);
   std::fprintf(stderr, "assembled %zu flows\n", flows.size());
@@ -1168,7 +681,7 @@ int cmd_health(const std::map<std::string, std::string>& flags) {
     // Score the capture against the saved models so the classify/monitor
     // components report too.
     const BehaviorModelSet models =
-        load_models_reporting(flags.at("models"), parse_policy(flags));
+        load_models_file_reporting(flags.at("models"), parse_policy(flags));
     Pipeline pipeline;
     const auto classified = pipeline.classify(flows, models);
     for (const std::string& reason : classified.degraded) {
@@ -1226,7 +739,7 @@ int cmd_mud(const std::map<std::string, std::string>& flags) {
     return usage();
   }
   const BehaviorModelSet models =
-      load_models_reporting(flags.at("models"), parse_policy(flags));
+      load_models_file_reporting(flags.at("models"), parse_policy(flags));
   const auto* device =
       testbed::Catalog::standard().by_name(flags.at("device"));
   if (device == nullptr) {
@@ -1245,7 +758,7 @@ int cmd_check(const std::map<std::string, std::string>& flags) {
     return usage();
   }
   const BehaviorModelSet models =
-      load_models_reporting(flags.at("models"), parse_policy(flags));
+      load_models_file_reporting(flags.at("models"), parse_policy(flags));
   const auto* device =
       testbed::Catalog::standard().by_name(flags.at("device"));
   if (device == nullptr) {
@@ -1254,7 +767,7 @@ int cmd_check(const std::map<std::string, std::string>& flags) {
   }
   const auto packets =
       load_capture(flags.at("capture"), parse_policy(flags));
-  DomainResolver resolver = make_resolver();
+  DomainResolver resolver = testbed::gateway_resolver();
   FlowAssembler assembler;
   const auto flows = assembler.assemble(packets, resolver);
 
@@ -1320,13 +833,10 @@ bool write_trace(const std::string& path) {
 bool write_metrics(const std::string& path) {
   obs::update_process_gauges();
   const auto snap = obs::MetricsRegistry::global().snapshot();
-  const bool prom = path.size() >= 5 && path.rfind(".prom") == path.size() - 5;
-  const obs::HealthSnapshot health = obs::health().snapshot();
   std::string error;
-  if (!obs::write_file_atomic(path,
-                              prom ? obs::to_prometheus(snap, health)
-                                   : obs::to_json(snap, health),
-                              &error)) {
+  if (!obs::write_file_atomic(
+          path, obs::metrics_document(path, snap, obs::health().snapshot()),
+          &error)) {
     std::fprintf(stderr, "error: cannot write metrics: %s\n", error.c_str());
     return false;
   }
@@ -1349,14 +859,16 @@ int main(int argc, char** argv) {
     obs::Tracer::global().start();
   }
   const auto chaos_flag = flags.find("chaos");
+  std::unique_ptr<chaos::FaultInjector> injector;
   if (chaos_flag != flags.end()) {
     try {
-      g_chaos = std::make_unique<chaos::FaultInjector>(
+      injector = std::make_unique<chaos::FaultInjector>(
           chaos::parse_chaos_spec(chaos_flag->second));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 2;
     }
+    g_chaos = injector.get();
     g_chaos->arm_feature_chaos();
     g_chaos->arm_crash_points();
   }
