@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 namespace behaviot {
@@ -21,9 +22,16 @@ TEST(Ipv4Addr, ParseValid) {
   EXPECT_EQ(Ipv4Addr::parse("0.0.0.0")->value(), 0u);
 }
 
+// Each parameter struct gets a PrintTo so that gtest (and the CTest names
+// gtest_discover_tests derives from it) shows the case itself rather than the
+// struct's raw bytes, which hold a string pointer and padding and so change
+// from one run to the next.
 struct BadAddr {
   const char* text;
 };
+void PrintTo(const BadAddr& c, std::ostream* os) {
+  *os << '"' << c.text << '"';
+}
 class ParseRejects : public ::testing::TestWithParam<BadAddr> {};
 
 TEST_P(ParseRejects, MalformedInput) {
@@ -41,6 +49,9 @@ struct PrivateCase {
   const char* text;
   bool is_private;
 };
+void PrintTo(const PrivateCase& c, std::ostream* os) {
+  *os << c.text << (c.is_private ? " is private" : " is public");
+}
 class PrivateRanges : public ::testing::TestWithParam<PrivateCase> {};
 
 TEST_P(PrivateRanges, Classification) {
@@ -92,6 +103,9 @@ struct ProtoCase {
   std::uint16_t port;
   AppProtocol expected;
 };
+void PrintTo(const ProtoCase& c, std::ostream* os) {
+  *os << to_string(c.t) << ':' << c.port << " -> " << to_string(c.expected);
+}
 class AppProtocolCases : public ::testing::TestWithParam<ProtoCase> {};
 
 TEST_P(AppProtocolCases, Classification) {
