@@ -285,19 +285,6 @@ void BM_ModelSaveText(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelSaveText);
 
-void BM_ModelLoadText(benchmark::State& state) {
-  std::ostringstream os;
-  save_models(os, bench_models());
-  const std::string text = os.str();
-  for (auto _ : state) {
-    std::istringstream is(text);
-    benchmark::DoNotOptimize(load_models(is));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(text.size()));
-}
-BENCHMARK(BM_ModelLoadText);
-
 void BM_ModelSaveBinary(benchmark::State& state) {
   const BehaviorModelSet& models = bench_models();
   for (auto _ : state) {
@@ -339,6 +326,7 @@ struct PipelineTiming {
   double train_ms = 0.0;
   double classify_ms = 0.0;
   std::string serialized;  ///< model bytes, for the determinism cross-check
+  std::string image;       ///< the same models as a .bbm image
   /// Per-stage span totals (ms) harvested from the metrics registry, empty
   /// when the run executed with the registry disabled.
   std::map<std::string, double> stage_ms;
@@ -416,6 +404,7 @@ PipelineTiming time_pipeline(std::size_t threads, bool with_metrics,
   std::ostringstream os;
   save_models(os, models);
   t.serialized = os.str();
+  t.image = save_models_binary(models);
   return t;
 }
 
@@ -538,9 +527,10 @@ struct CheckpointWatchRun {
 /// measured against what a window actually costs, not an idle no-retrain
 /// shell). Both runs rewrite the per-window `--alerts` snapshot the way
 /// every operated daemon does; the on-run additionally does what `behaviot
-/// watch --checkpoint` does: export the full daemon state, serialize it
-/// with the embedded model image, and write it through the rotating atomic
-/// path.
+/// watch --checkpoint` does: compose_checkpoint (engine state, model image,
+/// alerts document and health, as the daemon composes it) and a write
+/// through the rotating atomic path. The capture cursor counts packets
+/// handed to the engine — the stream has no file to take a byte offset of.
 CheckpointWatchRun time_checkpoint_watch(const BehaviorModelSet& models,
                                          std::span<const Packet> packets,
                                          bool with_checkpoint,
@@ -554,20 +544,17 @@ CheckpointWatchRun time_checkpoint_watch(const BehaviorModelSet& models,
   WatchEngine engine(handle, DomainResolver{}, opts);
   CheckpointWatchRun r;
   std::vector<DeviationAlert> all_alerts;
+  std::uint64_t offset = 0;
   obs::SnapshotWriter alerts_writer(alerts_path);
   engine.set_window_sink([&](const WatchWindowReport& rep) {
     all_alerts.insert(all_alerts.end(), rep.alerts.begin(), rep.alerts.end());
     r.alerts += rep.alerts.size();
-    alerts_writer.write(alerts_to_json(all_alerts), rep.index);
+    const obs::HealthSnapshot health = obs::health().snapshot();
+    alerts_writer.write(alerts_to_json(all_alerts, &health), rep.index);
     if (!with_checkpoint) return;
     const auto s0 = Clock::now();
-    WatchCheckpoint cp;
-    cp.options.window_us = opts.window_us;
-    cp.engine = engine.export_state();
-    cp.models_image = save_models_binary(*handle.acquire());
-    cp.model_version = handle.version();
-    cp.input_offset = rep.index + 1;  // stand-in for the capture offset
-    cp.alerts_json = alerts_to_json(all_alerts);
+    const WatchCheckpoint cp = compose_checkpoint(
+        engine, handle, offset, alerts_to_json(all_alerts, &health), health);
     std::string error;
     if (write_checkpoint_rotating(path, cp, &error)) {
       std::error_code ec;
@@ -580,7 +567,9 @@ CheckpointWatchRun time_checkpoint_watch(const BehaviorModelSet& models,
   const auto t0 = Clock::now();
   constexpr std::size_t kChunk = 512;
   for (std::size_t i = 0; i < packets.size() && !engine.done(); i += kChunk) {
-    engine.ingest(packets.subspan(i, std::min(kChunk, packets.size() - i)));
+    const auto chunk = packets.subspan(i, std::min(kChunk, packets.size() - i));
+    offset = i + chunk.size();
+    engine.ingest(chunk);
   }
   engine.finish();
   r.total_ms =
@@ -712,43 +701,43 @@ bool write_pipeline_bench_json(const std::string& path) {
      << "    \"on_over_off\": "
      << (chaotic.train_ms + chaotic.classify_ms) / parallel_total << ",\n"
      << "    \"faults_injected\": " << chaotic.faults_injected << "\n  },\n";
-  // Model-I/O trajectory: the text format vs the .bbm binary format on the
-  // same trained set. `load_speedup` compares the text parse against the
-  // zero-copy view load — the "one read + in-place pointer walk" the layout
-  // exists for (acceptance bar >= 10x) — and `materialize_speedup` against
-  // the fully materialized binary load; `round_trip_identical` pins the
-  // conversion path (text -> binary -> text, byte-identical).
+  // The seed of the model-I/O, telemetry and checkpoint sections: the
+  // trained set reloaded from its .bbm image (so with no periodic cluster
+  // stage), minus the user-action forests. Every checkpoint embeds the
+  // model set, so forests would change what the checkpoint ratio prices
+  // against the trajectory recorded so far.
+  BehaviorModelSet seed_models =
+      load_models_binary(binio::as_bytes(serial.image));
+  seed_models.user_actions = UserActionModels{};
+  // Model-I/O trajectory on the seed set: the text dump's write cost, and
+  // the .bbm write, materializing load and zero-copy view load.
+  // `round_trip_identical` pins the .bbm path against the trained set:
+  // dumping the set reloaded from its image reproduces the trained set's
+  // text byte for byte.
   {
     using Clock = std::chrono::steady_clock;
     const auto ms = [](Clock::duration d) {
       return std::chrono::duration<double, std::milli>(d).count();
     };
-    std::istringstream seed_is(serial.serialized);
-    const BehaviorModelSet io_models = load_models(seed_is);
-    const std::string binary = save_models_binary(io_models);
+    const std::string binary = save_models_binary(seed_models);
     const std::span<const std::uint8_t> binary_bytes(
         reinterpret_cast<const std::uint8_t*>(binary.data()), binary.size());
     constexpr int kIters = 50;
     const auto t0 = Clock::now();
     for (int i = 0; i < kIters; ++i) {
       std::ostringstream os2;
-      save_models(os2, io_models);
+      save_models(os2, seed_models);
       benchmark::DoNotOptimize(os2);
     }
     const auto t1 = Clock::now();
     for (int i = 0; i < kIters; ++i) {
-      std::istringstream is2(serial.serialized);
-      benchmark::DoNotOptimize(load_models(is2));
+      benchmark::DoNotOptimize(save_models_binary(seed_models));
     }
     const auto t2 = Clock::now();
     for (int i = 0; i < kIters; ++i) {
-      benchmark::DoNotOptimize(save_models_binary(io_models));
-    }
-    const auto t3 = Clock::now();
-    for (int i = 0; i < kIters; ++i) {
       benchmark::DoNotOptimize(load_models_binary(binary_bytes));
     }
-    const auto t4 = Clock::now();
+    const auto t3 = Clock::now();
     // The zero-copy load the .bbm layout exists for: open (header + CRC)
     // plus an in-place walk of every periodic record, no per-model heap.
     double view_acc = 0.0;
@@ -759,12 +748,11 @@ bool write_pipeline_bench_json(const std::string& path) {
       }
       benchmark::DoNotOptimize(view_acc);
     }
-    const auto t5 = Clock::now();
+    const auto t4 = Clock::now();
     const double text_save_ms = ms(t1 - t0) / kIters;
-    const double text_load_ms = ms(t2 - t1) / kIters;
-    const double binary_save_ms = ms(t3 - t2) / kIters;
-    const double binary_load_ms = ms(t4 - t3) / kIters;
-    const double view_load_ms = ms(t5 - t4) / kIters;
+    const double binary_save_ms = ms(t2 - t1) / kIters;
+    const double binary_load_ms = ms(t3 - t2) / kIters;
+    const double view_load_ms = ms(t4 - t3) / kIters;
     std::ostringstream round;
     save_models(round, load_models_binary(binary_bytes));
     const bool round_trip = round.str() == serial.serialized;
@@ -772,21 +760,14 @@ bool write_pipeline_bench_json(const std::string& path) {
        << "    \"text_bytes\": " << serial.serialized.size() << ",\n"
        << "    \"binary_bytes\": " << binary.size() << ",\n"
        << "    \"text_save_ms\": " << text_save_ms << ",\n"
-       << "    \"text_load_ms\": " << text_load_ms << ",\n"
        << "    \"binary_save_ms\": " << binary_save_ms << ",\n"
        << "    \"binary_load_ms\": " << binary_load_ms << ",\n"
        << "    \"binary_view_load_ms\": " << view_load_ms << ",\n"
-       << "    \"load_speedup\": " << text_load_ms / view_load_ms << ",\n"
-       << "    \"materialize_speedup\": " << text_load_ms / binary_load_ms
-       << ",\n"
        << "    \"round_trip_identical\": "
        << (round_trip ? "true" : "false") << "\n  },\n";
-    std::cerr << "BENCH model_io: text load " << text_load_ms
-              << " ms vs binary load " << binary_load_ms
-              << " ms (materialized, "
-              << text_load_ms / binary_load_ms << "x) / view load "
-              << view_load_ms << " ms (zero-copy, "
-              << text_load_ms / view_load_ms << "x), round trip "
+    std::cerr << "BENCH model_io: binary load " << binary_load_ms
+              << " ms (materialized) / view load " << view_load_ms
+              << " ms (zero-copy), round trip "
               << (round_trip ? "identical" : "DIVERGED") << "\n";
   }
   // Telemetry: what the live-daemon surfaces cost. The on-run streams the
@@ -799,8 +780,6 @@ bool write_pipeline_bench_json(const std::string& path) {
   // the populated registry left behind by the on-run.
   bool telemetry_ok = true;
   {
-    std::istringstream seed_is(serial.serialized);
-    const BehaviorModelSet watch_models = load_models(seed_is);
     const auto eval =
         testbed::Datasets::routine_week(/*seed=*/131, /*days=*/0.2);
     const std::string dir =
@@ -808,9 +787,9 @@ bool write_pipeline_bench_json(const std::string& path) {
             .string();
     std::filesystem::create_directories(dir);
     const TelemetryWatchRun off = time_telemetry_watch(
-        watch_models, eval.packets, /*with_telemetry=*/false, dir);
+        seed_models, eval.packets, /*with_telemetry=*/false, dir);
     const TelemetryWatchRun on = time_telemetry_watch(
-        watch_models, eval.packets, /*with_telemetry=*/true, dir);
+        seed_models, eval.packets, /*with_telemetry=*/true, dir);
     // The registry still holds the on-run's watch.* families; scrape that.
     obs::TelemetryServer server;
     std::string server_error;
@@ -873,8 +852,6 @@ bool write_pipeline_bench_json(const std::string& path) {
   // the final image rides along for the resume-time budget.
   bool checkpoint_ok = true;
   {
-    std::istringstream seed_is(serial.serialized);
-    const BehaviorModelSet watch_models = load_models(seed_is);
     const auto eval =
         testbed::Datasets::routine_week(/*seed=*/131, /*days=*/0.2);
     const std::string dir =
@@ -887,7 +864,7 @@ bool write_pipeline_bench_json(const std::string& path) {
       CheckpointWatchRun best;
       for (int rep = 0; rep < 3; ++rep) {
         const CheckpointWatchRun run = time_checkpoint_watch(
-            watch_models, eval.packets, with_checkpoint, ck_path, al_path);
+            seed_models, eval.packets, with_checkpoint, ck_path, al_path);
         if (rep == 0 || run.total_ms < best.total_ms) best = run;
       }
       return best;

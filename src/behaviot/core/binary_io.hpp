@@ -106,8 +106,7 @@ class Cursor {
   /// Element count for a loop/reserve: each element occupies at least
   /// `min_element_bytes` of the section, so a count exceeding the remaining
   /// bytes is structural corruption — rejected before it can size an
-  /// allocation (the binary analogue of the text loader's stoul("-1") →
-  /// reserve(2^64) guard).
+  /// allocation (a count of 2^64-1 never reaches reserve()).
   std::size_t count(const char* what, std::size_t min_element_bytes);
 
   /// Borrowed string: length-prefix check, then a view into the image.

@@ -1,10 +1,10 @@
 // Deterministic corpus generation for the parser fuzz/property harness.
 //
 // All four ingestion formats (pcap captures, DNS responses, TLS ClientHello,
-// model files) get seed-reproducible valid inputs plus a seeded mutator, so
-// the harness in tests/test_parser_fuzz.cpp and the bench/gen_fuzz_corpus
-// tool exercise byte-for-byte identical corpora: a crash found in CI is a
-// crash reproducible at the shell with the same seed.
+// .bbm model files) get seed-reproducible valid inputs plus a seeded
+// mutator, so the harness in tests/test_parser_fuzz.cpp and the
+// bench/gen_fuzz_corpus tool exercise byte-for-byte identical corpora: a
+// crash found in CI is a crash reproducible at the shell with the same seed.
 #pragma once
 
 #include <cstdint>
@@ -22,11 +22,9 @@ namespace behaviot::fuzz {
 /// frames to MTU-sized records.
 std::vector<Packet> random_packets(Rng& rng, std::size_t count);
 
-/// Small randomized model set (periodic models incl. absence trailers,
-/// user-action forests, PFSM, thresholds) whose save_models text and
-/// save_models_binary image exercise every section of both formats. (The
-/// text format omits the forests by design; the binary format carries
-/// them.)
+/// Small randomized model set (periodic models incl. absence counts,
+/// user-action forests, PFSM, thresholds) whose save_models_binary image
+/// exercises every section of the format.
 BehaviorModelSet random_models(Rng& rng);
 
 /// Rewrites a native little-endian µs pcap byte stream (as produced by
@@ -41,13 +39,11 @@ std::vector<std::uint8_t> pcap_variant(const std::vector<std::uint8_t>& bytes,
 /// bounded, so repeated application cannot balloon the input.
 void mutate(Rng& rng, std::vector<std::uint8_t>& bytes);
 
-/// A full valid corpus for all five formats (model files in both the text
-/// and the binary `.bbm` encoding of the same model sets).
+/// A full valid corpus for all four formats.
 struct Corpus {
   std::vector<std::vector<std::uint8_t>> pcaps;
   std::vector<std::vector<std::uint8_t>> dns;
   std::vector<std::vector<std::uint8_t>> tls;
-  std::vector<std::string> models;
   std::vector<std::string> binary_models;
 };
 

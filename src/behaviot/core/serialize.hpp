@@ -1,10 +1,13 @@
 // Behavior-model serialization (§7.2: "models based on lab experiments can
 // be pushed into home-network-based deployments").
 //
-// A line-oriented text format: human-diffable, versioned, and stable across
-// platforms (all floating-point values round-trip via hexfloat). Covers the
-// periodic models (with their timer state-free parameters) and the PFSM +
-// thresholds. Random-Forest user-action models serialize tree-by-tree.
+// Models are stored and loaded in the binary `.bbm` format
+// (core/serialize_binary.hpp), the only format on the load path. This
+// header adds the file-level entry points and a line-oriented text dump:
+// human-diffable and stable across platforms (every floating-point value
+// is written as hexfloat), for reviewing a model set and for the golden
+// byte-compare. The dump is write-only — nothing parses it back — and it
+// omits the user-action forests, which only `.bbm` carries.
 #pragma once
 
 #include <cstddef>
@@ -17,10 +20,9 @@
 
 namespace behaviot {
 
-/// Raised on malformed or version-incompatible input. The binary loader
-/// (core/serialize_binary.hpp) reports the absolute byte offset of the
-/// damage; the token-oriented text loader has no byte positions and leaves
-/// it at kNoOffset.
+/// Raised on malformed or version-incompatible input. The binary loaders
+/// report the absolute byte offset of the damage; errors with no position
+/// (a file that cannot be opened) leave it at kNoOffset.
 class SerializationError : public std::runtime_error {
  public:
   static constexpr std::size_t kNoOffset = static_cast<std::size_t>(-1);
@@ -33,48 +35,33 @@ class SerializationError : public std::runtime_error {
   /// Byte offset of the malformation, or kNoOffset when unknown.
   [[nodiscard]] std::size_t offset() const { return offset_; }
 
+  /// The same error with `path` prefixed to its message, offset kept.
+  [[nodiscard]] SerializationError in_file(const std::string& path) const {
+    SerializationError e(path + ": " + what());
+    e.offset_ = offset_;
+    return e;
+  }
+
  private:
   std::size_t offset_ = kNoOffset;
 };
 
 inline constexpr int kModelFormatVersion = 1;
 
-/// Writes the full model set (periodic models, PFSM, thresholds, training
-/// traces). User-action forests are *not* included — they are retrained
-/// from labeled data and dominate size; see the discussion in DESIGN.md.
-/// All formatting is locale-independent (to_chars + a classic-imbued
-/// stream), so an embedding app that sets a comma-decimal global locale
-/// still writes and reads byte-identical model files.
+/// Writes the text dump of a model set (periodic models, PFSM, thresholds,
+/// training traces). User-action forests are *not* included — see the
+/// discussion in DESIGN.md. All formatting is locale-independent (to_chars
+/// + a classic-imbued stream), so an embedding app that sets a
+/// comma-decimal global locale still writes byte-identical dumps.
 void save_models(std::ostream& os, const BehaviorModelSet& models);
-/// Dispatches on extension: a ".bbm" path is written in the binary format
-/// (core/serialize_binary.hpp, which does carry user-action forests); any
-/// other path gets the text format.
+/// Dispatches on extension: a ".bbm" path gets the binary format through
+/// save_models_binary_file; any other path gets the text dump. Either way
+/// the target is replaced atomically.
 void save_models_file(const std::string& path,
                       const BehaviorModelSet& models);
 
-/// Reads a model set previously written by save_models. The periodic
-/// cluster stage is not serialized (it is a cache over training features);
-/// loaded models classify via timers, which the paper's timer-first design
-/// makes the dominant path.
-///
-/// The header (magic + version) must always parse — a file that fails there
-/// is not a model file and throws SerializationError in either policy.
-/// After the header, kStrict (the default) throws SerializationError at the
-/// first malformed token; kLenient stops at the damage instead, returning
-/// every fully parsed entry up to that point and counting the abandonment
-/// in `stats->sections_dropped`. Counts are validated (digits only, capped
-/// against the remaining input size) so corrupt files fail cleanly instead
-/// of driving huge reserve() allocations.
-BehaviorModelSet load_models(std::istream& is,
-                             ParsePolicy policy = ParsePolicy::kStrict,
-                             ParseStats* stats = nullptr);
-/// Dispatches on extension like save_models_file: ".bbm" loads binary,
-/// anything else loads text.
-BehaviorModelSet load_models_file(const std::string& path,
-                                  ParsePolicy policy = ParsePolicy::kStrict,
-                                  ParseStats* stats = nullptr);
-/// load_models_file plus a one-line warning on stderr when a lenient load
-/// had to drop damaged sections — the load behind every --models flag.
+/// load_models_binary_file plus a one-line warning on stderr when a lenient
+/// load had to drop damaged sections — the load behind every --models flag.
 BehaviorModelSet load_models_file_reporting(const std::string& path,
                                             ParsePolicy policy);
 

@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <ostream>
 #include <system_error>
 #include <utility>
 #include <vector>
@@ -14,6 +13,7 @@
 #include "behaviot/core/binary_io.hpp"
 #include "behaviot/flow/features.hpp"
 #include "behaviot/obs/metrics.hpp"
+#include "behaviot/obs/snapshot.hpp"
 
 namespace behaviot {
 namespace {
@@ -330,23 +330,20 @@ std::string save_models_binary(const BehaviorModelSet& models) {
   return binio::build_image(kBbmFormat, sections);
 }
 
-void save_models_binary(std::ostream& os, const BehaviorModelSet& models) {
-  const std::string bytes = save_models_binary(models);
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
 void save_models_binary_file(const std::string& path,
                              const BehaviorModelSet& models) {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) throw SerializationError("cannot open for write: " + path);
-  save_models_binary(file, models);
-  if (!file) throw SerializationError("write failed: " + path);
+  // Temp file + rename: a crash mid-write leaves the previous generation,
+  // never a torn image.
+  std::string error;
+  if (!obs::write_file_atomic(path, save_models_binary(models), &error)) {
+    throw SerializationError("cannot write models: " + error);
+  }
 }
 
 BehaviorModelSet load_models_binary(std::span<const std::uint8_t> bytes,
                                     ParsePolicy policy, ParseStats* stats) {
   // Header, section table and CRC trailer are structural: parse_layout
-  // throws under either policy, like the text magic line.
+  // throws under either policy.
   const ImageLayout layout = parse_layout(bytes);
   if (!layout.crc_ok && policy == ParsePolicy::kStrict) {
     throw_crc_mismatch(layout);
@@ -423,7 +420,11 @@ BehaviorModelSet load_models_binary_file(const std::string& path,
                              static_cast<std::streamsize>(size))) {
     throw SerializationError("read failed: " + path);
   }
-  return load_models_binary(bytes, policy, stats);
+  try {
+    return load_models_binary(bytes, policy, stats);
+  } catch (const SerializationError& e) {
+    throw e.in_file(path);
+  }
 }
 
 bool is_binary_model_path(const std::string& path) {
@@ -516,20 +517,6 @@ std::vector<PeriodicModelView> BinaryModelView::periodic() const {
   }
   if (!c.at_end()) c.fail("trailing bytes after periodic models");
   return out;
-}
-
-std::optional<PeriodicModelView> BinaryModelView::find_periodic(
-    DeviceId device, std::string_view group) const {
-  const Section* s = find_section(kSectionPeriodic);
-  if (s == nullptr) return std::nullopt;
-  Cursor c = section_cursor(image_.subspan(s->offset, s->size), s->offset,
-                            "periodic");
-  const std::size_t n = c.count("periodic model count", 61);
-  for (std::size_t i = 0; i < n; ++i) {
-    const PeriodicModelView v = read_periodic_model_view(c);
-    if (v.device == device && v.group == group) return v;
-  }
-  return std::nullopt;
 }
 
 std::size_t BinaryModelView::periodic_count() const {

@@ -1,12 +1,11 @@
-// Versioned binary behavior-model format (`.bbm`) — the fleet-scale model
-// store counterpart of the text serializer in core/serialize.hpp.
+// Versioned binary behavior-model format (`.bbm`) — the one format every
+// model load reads (the text dump in core/serialize.hpp is write-only).
 //
 // Motivation (ROADMAP "fleet scale"): a fleet of N homes sharing a model
-// store loads models homes × retrain-generations times; the hexfloat text
-// format pays stream tokenization + float parsing per value. The binary
-// format is laid out so a load is one read plus an in-place pointer walk:
-// POD arrays (secondary periods, tree node distributions) are copied with a
-// single memcpy each, strings need exactly one pass, and no tokenizer runs.
+// store loads models homes × retrain-generations times. The format is laid
+// out so a load is one read plus an in-place pointer walk: POD arrays
+// (secondary periods, tree node distributions) are copied with a single
+// memcpy each, strings need exactly one pass, and no tokenizer runs.
 //
 // Layout (all integers little-endian, doubles raw IEEE-754 binary64 LE):
 //
@@ -44,25 +43,22 @@
 // its own index and < n_nodes (the trainer lays children out after their
 // parent, so forward-only edges also rule out cycles).
 //
-// `str` is u32 length + raw bytes. The forests section is binary-only: the
-// text format deliberately omits user-action forests, so text → binary →
-// text round trips stay byte-identical while the binary store can carry the
-// full model set a fleet shares.
+// `str` is u32 length + raw bytes. The forests section exists only here:
+// the text dump omits user-action forests, while the binary store carries
+// the full model set a fleet shares.
 //
-// Parse policy matches the text loader (DESIGN.md §5c/§5i): the header
-// (magic, version, flags, section table, structural sizes) must always
-// parse — failing there throws SerializationError in either policy, with
-// the absolute byte offset of the damage. After the header, kStrict throws
-// at the first malformed section; kLenient drops the damaged section
-// (counted in stats->sections_dropped), then — unlike the text loader,
-// which has no framing to resynchronize on — uses the section table to
-// continue with the next section. Every count is capped against the bytes
-// remaining in its section before any reserve(), so a corrupt count can
-// never drive an allocation larger than the input.
+// Parse policy (DESIGN.md §5c/§5i): the header (magic, version, flags,
+// section table, structural sizes) must always parse — failing there throws
+// SerializationError in either policy, with the absolute byte offset of the
+// damage. After the header, kStrict throws at the first malformed section;
+// kLenient drops the damaged section (counted in stats->sections_dropped)
+// and uses the section table to continue with the next section. Every
+// count is capped against the bytes remaining in its section before any
+// reserve(), so a corrupt count can never drive an allocation larger than
+// the input.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <span>
 #include <string>
@@ -94,7 +90,8 @@ inline constexpr std::uint32_t kSectionForests = 5;
 /// absent_generations), user-action forests, PFSM, thresholds, training
 /// traces — to the binary format.
 [[nodiscard]] std::string save_models_binary(const BehaviorModelSet& models);
-void save_models_binary(std::ostream& os, const BehaviorModelSet& models);
+/// Writes the image to `path` atomically (temp file + rename), so a crash
+/// mid-write leaves the previous file whole.
 void save_models_binary_file(const std::string& path,
                              const BehaviorModelSet& models);
 
@@ -104,13 +101,14 @@ void save_models_binary_file(const std::string& path,
 BehaviorModelSet load_models_binary(std::span<const std::uint8_t> bytes,
                                     ParsePolicy policy = ParsePolicy::kStrict,
                                     ParseStats* stats = nullptr);
+/// Reads `path` whole and loads it; every SerializationError names the path.
 BehaviorModelSet load_models_binary_file(
     const std::string& path, ParsePolicy policy = ParsePolicy::kStrict,
     ParseStats* stats = nullptr);
 
 /// True when `path` names a binary model file by extension (".bbm",
-/// case-insensitive) — the dispatch rule save_models_file/load_models_file
-/// use to route between the text and binary formats.
+/// case-insensitive) — the rule save_models_file uses to choose between
+/// the binary format and the text dump.
 [[nodiscard]] bool is_binary_model_path(const std::string& path);
 
 /// One periodic model decoded in place from a .bbm image: scalars by value,
@@ -152,9 +150,9 @@ struct ThresholdsView {
 /// throws SerializationError with a byte offset on any damage; there is no
 /// lenient mode here — salvage belongs to load_models_binary. After open(),
 /// accessors decode fields straight out of the borrowed image with no
-/// per-model allocation, so a fleet store can scan or point-query thousands
-/// of model files without materializing them. The image must outlive the
-/// view and every PeriodicModelView obtained from it.
+/// per-model allocation, so a fleet store can scan thousands of model files
+/// without materializing them. The image must outlive the view and every
+/// PeriodicModelView obtained from it.
 class BinaryModelView {
  public:
   struct Section {
@@ -168,11 +166,6 @@ class BinaryModelView {
   /// Decodes every periodic model in place: one allocation for the returned
   /// vector, zero per model.
   [[nodiscard]] std::vector<PeriodicModelView> periodic() const;
-
-  /// Point lookup without decoding the rest of the set (fleet store
-  /// queries). Linear in the section — the image carries no index.
-  [[nodiscard]] std::optional<PeriodicModelView> find_periodic(
-      DeviceId device, std::string_view group) const;
 
   [[nodiscard]] std::size_t periodic_count() const;
   [[nodiscard]] std::optional<ThresholdsView> thresholds() const;

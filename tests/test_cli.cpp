@@ -104,7 +104,7 @@ TEST_F(CliTest, UnknownCommandPrintsUsage) {
 
 TEST_F(CliTest, FullWorkflow) {
   const std::string pcap = *dir_ + "/idle.pcap";
-  const std::string models = *dir_ + "/models.txt";
+  const std::string models = *dir_ + "/models.bbm";
 
   // simulate
   auto result = run("simulate --dataset idle --days 0.1 --seed 5 --out " +
@@ -144,7 +144,7 @@ TEST_F(CliTest, FullWorkflow) {
 
 TEST_F(CliTest, MetricsFlagWritesJsonAndSummary) {
   const std::string pcap = *dir_ + "/metrics.pcap";
-  const std::string models = *dir_ + "/metrics_models.txt";
+  const std::string models = *dir_ + "/metrics_models.bbm";
   const std::string metrics = *dir_ + "/metrics.json";
   ASSERT_EQ(run("simulate --dataset idle --days 0.1 --seed 7 --out " + pcap)
                 .exit_code,
@@ -187,7 +187,7 @@ TEST_F(CliTest, MetricsFlagWritesPrometheusText) {
 
 TEST_F(CliTest, ShowRejectsUnknownDevice) {
   const std::string pcap = *dir_ + "/idle2.pcap";
-  const std::string models = *dir_ + "/models2.txt";
+  const std::string models = *dir_ + "/models2.bbm";
   ASSERT_EQ(run("simulate --dataset idle --days 0.05 --seed 6 --out " + pcap)
                 .exit_code,
             0);
@@ -202,14 +202,14 @@ TEST_F(CliTest, ShowRejectsUnknownDevice) {
 
 TEST_F(CliTest, TrainRejectsMissingCapture) {
   const auto result =
-      run("train --idle /nonexistent.pcap --window-days 1 --out /tmp/x.txt");
+      run("train --idle /nonexistent.pcap --window-days 1 --out /tmp/x.bbm");
   EXPECT_NE(result.exit_code, 0);
   EXPECT_NE(result.output.find("error"), std::string::npos);
 }
 
 TEST_F(CliTest, TraceFlagWritesChromeJsonWithWorkerLanes) {
   const std::string pcap = *dir_ + "/trace.pcap";
-  const std::string models = *dir_ + "/trace_models.txt";
+  const std::string models = *dir_ + "/trace_models.bbm";
   const std::string trace = *dir_ + "/trace.json";
   ASSERT_EQ(run("simulate --dataset idle --days 0.1 --seed 5 --out " + pcap)
                 .exit_code,
@@ -272,7 +272,7 @@ TEST_F(CliTest, TraceFlagWritesChromeJsonWithWorkerLanes) {
 
 TEST_F(CliTest, ScoreWritesAlertReportAndExplainRendersIt) {
   const std::string idle = *dir_ + "/explain_idle.pcap";
-  const std::string models = *dir_ + "/explain_models.txt";
+  const std::string models = *dir_ + "/explain_models.bbm";
   const std::string outage = *dir_ + "/explain_day30.pcap";
   const std::string report = *dir_ + "/alerts.json";
   ASSERT_EQ(run("simulate --dataset idle --days 0.1 --seed 5 --out " + idle)
@@ -378,29 +378,34 @@ TEST_F(CliTest, MalformedNumericFlagsExitTwoWithUsageError) {
 
 TEST_F(CliTest, ConvertModelsRoundTripsThroughBinary) {
   const std::string pcap = *dir_ + "/convert.pcap";
-  const std::string models = *dir_ + "/convert_models.txt";
   const std::string binary = *dir_ + "/convert_models.bbm";
-  const std::string back = *dir_ + "/convert_back.txt";
+  const std::string resaved = *dir_ + "/convert_resaved.bbm";
+  const std::string dump = *dir_ + "/convert_dump.txt";
+  const std::string dumped = *dir_ + "/train_dump.txt";
   ASSERT_EQ(run("simulate --dataset idle --days 0.1 --seed 5 --out " + pcap)
                 .exit_code,
             0);
-  ASSERT_EQ(run("train --idle " + pcap + " --window-days 0.1 --out " + models)
+  ASSERT_EQ(run("train --idle " + pcap + " --window-days 0.1 --out " + binary)
                 .exit_code,
             0);
-
-  auto result = run("convert-models --in " + models + " --out " + binary);
-  ASSERT_EQ(result.exit_code, 0) << result.output;
-  EXPECT_NE(result.output.find("converted"), std::string::npos);
-  ASSERT_TRUE(std::filesystem::exists(binary));
   // Binary magic at offset 0.
   EXPECT_EQ(read_file(binary).substr(0, 4), "BBM1");
 
-  result = run("convert-models --in " + binary + " --out " + back);
+  // .bbm -> .bbm re-saves byte-identically: nothing lost, no FP drift.
+  auto result = run("convert-models --in " + binary + " --out " + resaved);
   ASSERT_EQ(result.exit_code, 0) << result.output;
-  // Text -> binary -> text is byte-identical: nothing lost, no FP drift.
-  EXPECT_EQ(read_file(back), read_file(models));
+  EXPECT_NE(result.output.find("converted"), std::string::npos);
+  EXPECT_EQ(read_file(resaved), read_file(binary));
 
-  // The binary file is a drop-in for every consumer of --models.
+  // .bbm -> text renders the same dump `train` writes for a text --out.
+  result = run("convert-models --in " + binary + " --out " + dump);
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+  ASSERT_EQ(run("train --idle " + pcap + " --window-days 0.1 --out " + dumped)
+                .exit_code,
+            0);
+  EXPECT_EQ(read_file(dump).substr(0, 15), "behaviot-models");
+  EXPECT_EQ(read_file(dump), read_file(dumped));
+
   result = run("score --models " + binary + " --capture " + pcap);
   ASSERT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("deviation alerts"), std::string::npos);
@@ -424,7 +429,7 @@ TEST_F(CliTest, ConvertModelsRoundTripsThroughBinary) {
 }
 
 TEST_F(CliTest, ScoreRejectsCorruptModels) {
-  const std::string bad = *dir_ + "/bad_models.txt";
+  const std::string bad = *dir_ + "/bad_models.bbm";
   {
     std::FILE* f = std::fopen(bad.c_str(), "w");
     std::fputs("not a model file\n", f);
@@ -432,6 +437,26 @@ TEST_F(CliTest, ScoreRejectsCorruptModels) {
   }
   const auto result = run("score --models " + bad + " --capture /dev/null");
   EXPECT_NE(result.exit_code, 0);
+}
+
+TEST_F(CliTest, ScoreRejectsATextDumpNamingItsPath) {
+  // `train --out X.txt` writes the text dump, which no command loads: the
+  // model read fails with one line that names the file, before the capture
+  // is touched.
+  const std::string pcap = *dir_ + "/dump.pcap";
+  const std::string dump = *dir_ + "/dump_models.txt";
+  ASSERT_EQ(run("simulate --dataset idle --days 0.05 --seed 6 --out " + pcap)
+                .exit_code,
+            0);
+  ASSERT_EQ(run("train --idle " + pcap + " --window-days 0.05 --out " + dump)
+                .exit_code,
+            0);
+  const auto result = run("score --models " + dump + " --capture " + pcap);
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_EQ(std::count(result.output.begin(), result.output.end(), '\n'), 1)
+      << result.output;
+  EXPECT_EQ(result.output.rfind("error: " + dump + ": ", 0), 0u)
+      << result.output;
 }
 
 // ---- Live telemetry: rotation, crash-safety, HTTP endpoint ----
@@ -467,7 +492,7 @@ void make_watch_inputs(const std::string& dir, std::string* models,
     return;
   }
   const std::string idle = dir + "/telemetry_idle.pcap";
-  *models = dir + "/telemetry_models.txt";
+  *models = dir + "/telemetry_models.bbm";
   *capture = dir + "/telemetry_day30.pcap";
   ASSERT_EQ(run("simulate --dataset idle --days 0.1 --seed 5 --out " + idle)
                 .exit_code,

@@ -1,6 +1,6 @@
 // Deterministic fuzz/property harness for every wire-format parser on the
-// ingestion path: pcap records, DNS responses, TLS ClientHello, and model
-// files in both the text and the binary (.bbm) encoding.
+// ingestion path: pcap records, DNS responses, TLS ClientHello, and .bbm
+// model files.
 //
 // Two layers:
 //  - properties on VALID inputs: parse → re-serialize is byte-identical,
@@ -37,6 +37,10 @@ constexpr std::size_t kCorpusPerKind = 64;
 const fuzz::Corpus& corpus() {
   static const fuzz::Corpus c = fuzz::make_corpus(kSeed, kCorpusPerKind);
   return c;
+}
+
+std::span<const std::uint8_t> as_bytes(const std::string& s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
 }
 
 bool packets_equal(const Packet& a, const Packet& b) {
@@ -97,13 +101,15 @@ TEST(ParserFuzz, ValidDnsTlsModelRoundTrips) {
     ASSERT_TRUE(sni.has_value());
     EXPECT_EQ(*sni, name);
   }
-  // Model files: load(save(m)) then save again must emit identical text.
-  for (const std::string& text : corpus().models) {
-    std::istringstream in(text);
-    const BehaviorModelSet loaded = load_models(in, ParsePolicy::kStrict);
-    std::ostringstream out;
-    save_models(out, loaded);
-    EXPECT_EQ(out.str(), text);
+  // Model files: a valid image loads whole under the lenient policy too —
+  // nothing dropped, nothing flagged — and re-saves byte-identically.
+  for (const std::string& image : corpus().binary_models) {
+    ParseStats stats;
+    const BehaviorModelSet loaded =
+        load_models_binary(as_bytes(image), ParsePolicy::kLenient, &stats);
+    EXPECT_EQ(stats.sections_dropped, 0u);
+    EXPECT_EQ(stats.malformed, 0u);
+    EXPECT_EQ(save_models_binary(loaded), image);
   }
 }
 
@@ -206,38 +212,7 @@ TEST(ParserFuzz, MutatedTlsNeverCrashes) {
       });
 }
 
-TEST(ParserFuzz, MutatedModelFilesNeverCrashOrBalloon) {
-  std::vector<std::vector<std::uint8_t>> seeds;
-  for (const std::string& text : corpus().models) {
-    seeds.emplace_back(text.begin(), text.end());
-  }
-  run_mutations(
-      seeds, kSeed ^ 7, /*mutants_per_seed=*/20, /*max_stacked=*/3,
-      [](const std::vector<std::uint8_t>& mutant, ParsePolicy policy) {
-        std::istringstream in(
-            std::string(reinterpret_cast<const char*>(mutant.data()),
-                        mutant.size()));
-        try {
-          ParseStats stats;
-          const BehaviorModelSet models = load_models(in, policy, &stats);
-          // A corrupt count must never produce state larger than the input
-          // could possibly describe (the stoul("-1") → reserve(2^64) bug).
-          EXPECT_LE(models.periodic.size(), mutant.size());
-          std::size_t labels = 0;
-          for (const auto& t : models.training_traces) labels += t.size();
-          EXPECT_LE(labels, mutant.size());
-        } catch (const SerializationError&) {
-          // typed rejection is a valid outcome in either policy
-        }
-      });
-}
-
-std::span<const std::uint8_t> as_bytes(const std::string& s) {
-  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
-}
-
 TEST(ParserFuzz, ValidBinaryModelRoundTrips) {
-  ASSERT_EQ(corpus().binary_models.size(), corpus().models.size());
   for (std::size_t i = 0; i < corpus().binary_models.size(); ++i) {
     const std::string& image = corpus().binary_models[i];
     const BehaviorModelSet loaded =
@@ -245,12 +220,6 @@ TEST(ParserFuzz, ValidBinaryModelRoundTrips) {
     // binary → binary: byte-identical (fixed section order, no optional
     // trailers).
     EXPECT_EQ(save_models_binary(loaded), image) << "corpus entry " << i;
-    // binary → text: identical to the text serialization of the same model
-    // set (the corpus stores both encodings of one set). This is the
-    // text→binary→text acceptance property, across the whole corpus.
-    std::ostringstream text;
-    save_models(text, loaded);
-    EXPECT_EQ(text.str(), corpus().models[i]) << "corpus entry " << i;
   }
 }
 

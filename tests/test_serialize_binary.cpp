@@ -1,10 +1,12 @@
 // Binary model format (.bbm) suite: round trips (including user-action
-// forests, which the text format omits), golden-file compatibility, header
+// forests, which the text dump omits), golden-file compatibility, header
 // and CRC validation with byte offsets, count caps, lenient section resync,
-// extension dispatch, and locale independence of both model formats.
+// extension dispatch, atomic file writes, and locale independence of the
+// .bbm format and the text dump.
 #include "behaviot/core/serialize_binary.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <clocale>
 #include <filesystem>
@@ -14,6 +16,7 @@
 
 #include "behaviot/core/serialize.hpp"
 #include "behaviot/flow/features.hpp"
+#include "behaviot/periodic/periodic_classifier.hpp"
 #include "behaviot/pfsm/synoptic.hpp"
 
 namespace behaviot {
@@ -31,9 +34,8 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
-/// A model set exercising every binary section, including the two parts the
-/// text format cannot carry: absence trailers round-trip in both, forests
-/// only in binary.
+/// A model set exercising every binary section, including the absence count
+/// and the forests (which the text dump leaves out).
 BehaviorModelSet full_models() {
   BehaviorModelSet models;
 
@@ -165,20 +167,18 @@ TEST(SerializeBinary, SaveLoadSaveIsByteIdentical) {
 }
 
 TEST(SerializeBinary, TextToBinaryToTextReproducesGoldenByteIdentical) {
-  // The acceptance property on the real trained artifact: the golden
-  // periodic model file survives text → binary → text without a byte of
-  // drift (hexfloat doubles, absence trailers, blank domains and all).
-  const std::string golden_path =
-      std::string(BEHAVIOT_TEST_DATA_DIR) + "/golden_periodic_models.txt";
-  const std::string golden_text = read_file(golden_path);
-  std::istringstream in(golden_text);
-  const BehaviorModelSet models = load_models(in, ParsePolicy::kStrict);
-
-  const std::string image = save_models_binary(models);
-  const BehaviorModelSet reloaded = load_models_binary(as_bytes(image));
+  // The acceptance property on the real trained artifact: golden_models.bbm
+  // is the binary form of the golden text models, so dumping it reproduces
+  // that text without a byte of drift (hexfloat doubles, absence trailers,
+  // blank domains and all).
+  const std::string image =
+      read_file(std::string(BEHAVIOT_TEST_DATA_DIR) + "/golden_models.bbm");
+  const BehaviorModelSet models =
+      load_models_binary(as_bytes(image), ParsePolicy::kStrict);
   std::ostringstream out;
-  save_models(out, reloaded);
-  EXPECT_EQ(out.str(), golden_text);
+  save_models(out, models);
+  EXPECT_EQ(out.str(), read_file(std::string(BEHAVIOT_TEST_DATA_DIR) +
+                                 "/golden_periodic_models.txt"));
 }
 
 TEST(SerializeBinary, GoldenBbmLoadsAndResavesByteIdentical) {
@@ -209,15 +209,14 @@ TEST(SerializeBinary, FileDispatchSelectsFormatByExtension) {
   const std::string on_disk = read_file(bin_path);
   ASSERT_GE(on_disk.size(), 4u);
   EXPECT_EQ(on_disk.substr(0, 4), "BBM1");
-  const BehaviorModelSet from_bin = load_models_file(bin_path);
+  const BehaviorModelSet from_bin = load_models_binary_file(bin_path);
   EXPECT_EQ(from_bin.user_actions.size(), 1u);  // binary carries forests
 
+  // Any other extension gets the text dump, which is write-only.
   const std::string text_path = dir + "/models.txt";
   save_models_file(text_path, models);
   EXPECT_EQ(read_file(text_path).substr(0, 15), "behaviot-models");
-  const BehaviorModelSet from_text = load_models_file(text_path);
-  EXPECT_EQ(from_text.user_actions.size(), 0u);  // text does not
-  EXPECT_EQ(from_text.periodic.size(), from_bin.periodic.size());
+  EXPECT_THROW(load_models_binary_file(text_path), SerializationError);
 
   std::filesystem::remove(bin_path);
   std::filesystem::remove(text_path);
@@ -355,8 +354,8 @@ TEST(SerializeBinary, OversizedCountRejectedBeforeAllocation) {
 }
 
 TEST(SerializeBinary, LenientResynchronizesAtNextSection) {
-  // The section table lets the lenient loader do what the text loader
-  // cannot: drop the damaged section and still parse everything after it.
+  // The section table lets the lenient loader drop the damaged section and
+  // still parse everything after it.
   std::string image = save_models_binary(full_models());
   const std::size_t count_at = 12 + 5 * 16;
   image[count_at] = static_cast<char>(0xff);
@@ -555,6 +554,26 @@ TEST(SerializeBinary, UnreadableModelPathThrowsTypedErrorNotBadAlloc) {
   EXPECT_THROW(load_models_binary_file(dir), SerializationError);
 }
 
+TEST(SerializeBinary, SaveFileReplacesTheTargetWhole) {
+  // The write goes to a temp file renamed over the target, so the old file
+  // is never truncated in place: a reader still holding it (here, a hard
+  // link) keeps the complete previous generation.
+  const std::string dir = ::testing::TempDir() + "/behaviot_bbm_" +
+                          std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/models.bbm";
+  const std::string held = dir + "/held.bbm";
+  BehaviorModelSet first = full_models();
+  first.user_actions = UserActionModels{};
+  save_models_binary_file(path, first);
+  std::filesystem::create_hard_link(path, held);
+
+  save_models_binary_file(path, full_models());
+  EXPECT_EQ(read_file(path), save_models_binary(full_models()));
+  EXPECT_EQ(read_file(held), save_models_binary(first));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(SerializeBinary, ViewMatchesMaterializedLoad) {
   const BehaviorModelSet models = full_models();
   const std::string image = save_models_binary(models);
@@ -594,15 +613,27 @@ TEST(SerializeBinary, ViewMatchesMaterializedLoad) {
   EXPECT_FALSE(view.has_section(99));
 }
 
-TEST(SerializeBinary, ViewPointLookupFindsWithoutMaterializing) {
+TEST(SerializeBinary, LoadedModelsDriveTimerClassification) {
+  // The loaded set classifies via timers even without the cluster stage,
+  // which the format does not carry.
   const std::string image = save_models_binary(full_models());
-  const BinaryModelView view = BinaryModelView::open(as_bytes(image));
-  const auto hit = view.find_periodic(3, "hb.vendor.com|TLS");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_DOUBLE_EQ(hit->period_seconds, 600.125);
-  EXPECT_EQ(hit->domain, "hb.vendor.com");
-  EXPECT_FALSE(view.find_periodic(3, "no.such.group|TLS").has_value());
-  EXPECT_FALSE(view.find_periodic(77, "hb.vendor.com|TLS").has_value());
+  const BehaviorModelSet loaded = load_models_binary(as_bytes(image));
+
+  PeriodicEventClassifier classifier(loaded.periodic);
+  FlowRecord flow;
+  flow.device = 3;
+  flow.domain = "hb.vendor.com";
+  flow.app = AppProtocol::kTls;
+  flow.tuple = {{Ipv4Addr(192, 168, 1, 13), 40000},
+                {Ipv4Addr(54, 9, 9, 9), 443},
+                Transport::kTcp};
+  flow.start = Timestamp(0);
+  EXPECT_TRUE(classifier.classify(flow).periodic);  // first sighting arms
+  flow.start = Timestamp::from_seconds(600.125);
+  EXPECT_TRUE(classifier.classify(flow).periodic);  // on schedule
+  flow.start = Timestamp::from_seconds(600.125 + 900.0);
+  const auto off_schedule = classifier.classify(flow);
+  EXPECT_FALSE(off_schedule.via_timer);
 }
 
 TEST(SerializeBinary, ViewOpenIsAlwaysStrict) {
@@ -662,12 +693,7 @@ TEST(SerializeBinary, ModelFilesAreByteIdenticalUnderCommaDecimalLocale) {
     EXPECT_EQ(text_under.str(), ref_text);
     EXPECT_EQ(save_models_binary(models), ref_binary);
 
-    // Readers: parsing back under the same locale must reproduce the set.
-    std::istringstream in(ref_text);
-    const BehaviorModelSet from_text = load_models(in, ParsePolicy::kStrict);
-    const PeriodicModel* hb = from_text.periodic.find(3, "hb.vendor.com|TLS");
-    ASSERT_NE(hb, nullptr);
-    EXPECT_DOUBLE_EQ(hb->period_seconds, 600.125);
+    // Reader: loading back under the same locale reproduces the set.
     const BehaviorModelSet from_binary =
         load_models_binary(as_bytes(ref_binary));
     EXPECT_EQ(save_models_binary(from_binary), ref_binary);
@@ -683,12 +709,11 @@ TEST(SerializeBinary, ModelFilesAreByteIdenticalUnderCommaDecimalLocale) {
   std::ostringstream text_under;
   save_models(text_under, models);
   const std::string bin_under = save_models_binary(models);
-  std::istringstream in(ref_text);
-  const BehaviorModelSet from_text = load_models(in, ParsePolicy::kStrict);
+  const BehaviorModelSet from_binary = load_models_binary(as_bytes(ref_binary));
   std::setlocale(LC_ALL, "C");
   EXPECT_EQ(text_under.str(), ref_text);
   EXPECT_EQ(bin_under, ref_binary);
-  EXPECT_EQ(from_text.periodic.size(), models.periodic.size());
+  EXPECT_EQ(from_binary.periodic.size(), models.periodic.size());
 }
 
 }  // namespace

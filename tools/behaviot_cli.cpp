@@ -6,21 +6,21 @@
 //       Write a simulated testbed capture as a classic .pcap file.
 //       Datasets: idle | activity | routine | uncontrolled-day:<N>
 //
-//   behaviot train --idle idle.pcap --window-days 2 --out models.txt
+//   behaviot train --idle idle.pcap --window-days 2 --out models.bbm
 //       Infer periodic models from an idle capture and save them (with the
 //       default deviation thresholds). User-action models need labeled
 //       interactions and are therefore trained via the library API, not
 //       from raw pcaps — see README.
 //
-//   behaviot show --models models.txt [--device <name>]
+//   behaviot show --models models.bbm [--device <name>]
 //       Print the saved models.
 //
-//   behaviot score --models models.txt --capture day.pcap
+//   behaviot score --models models.bbm --capture day.pcap
 //       Evaluate a capture against saved models and print periodic
 //       deviation alerts. With --window-s W the capture is scored in
 //       successive W-second windows instead of the prime/score half-split.
 //
-//   behaviot watch --models models.txt --capture day.pcap --window-s W
+//   behaviot watch --models models.bbm --capture day.pcap --window-s W
 //       Streaming daemon: read the capture incrementally (tail it as it
 //       grows with --follow 1), assemble flows with bounded memory, score
 //       each W-second deviation window as it closes, and optionally
@@ -31,10 +31,10 @@
 //       is rewritten after every window. The daemon is
 //       core/watch_daemon.hpp; this command is its flag front end.
 //
-//   behaviot mud --models models.txt --device <name>
+//   behaviot mud --models models.bbm --device <name>
 //       Emit a MUD-like profile for one device.
 //
-//   behaviot check --models models.txt --capture day.pcap --device <name>
+//   behaviot check --models models.bbm --capture day.pcap --device <name>
 //       MUD compliance: flag the device's flows that match no profile
 //       entry (unknown destination or protocol).
 //
@@ -44,17 +44,17 @@
 //       `score --alerts FILE`: observed vs expected value, crossed
 //       threshold, model group, and cluster/vote evidence.
 //
-//   behaviot health --capture day.pcap [--models models.txt]
+//   behaviot health --capture day.pcap [--models models.bbm]
 //       Exercise the pipeline on a capture (assembly + inference, plus
 //       scoring when models are given) and print the per-component health
 //       report: healthy / degraded / quarantined with reason codes.
 //
-//   behaviot convert-models --in models.txt --out models.bbm
-//       Convert between the text and binary model formats (selected by
-//       extension — ".bbm" is binary). Every --models/--out path in the
-//       other commands dispatches the same way. Binary output is
-//       re-opened and verified (header, section table, CRC) after the
-//       write.
+//   behaviot convert-models --in models.bbm --out models.txt
+//       Render a .bbm model set as the text dump for review, or (with a
+//       .bbm --out) re-save it. Every model read is a .bbm file; an --out
+//       path not ending in .bbm gets the write-only text dump, which
+//       nothing loads back. Binary output is re-opened and verified
+//       (header, section table, CRC) after the write.
 //
 // Numeric flags are validated before any file I/O: a malformed or
 // out-of-domain value (--window-s abc, --seed -1, --days inf) prints a
@@ -134,10 +134,10 @@ int usage() {
   std::fprintf(stderr,
                "usage: behaviot <simulate|train|show|score|watch|mud|check"
                "|explain|health|convert-models> [options]\n"
-               "Model files are text (.txt, human-diffable) or binary (.bbm,"
-               " zero-copy\n"
-               "load, carries user-action forests) — the extension selects"
-               " the format.\n"
+               "Models load from binary .bbm files only. An --out path not"
+               " ending in .bbm\n"
+               "gets a write-only text dump (human-diffable, no user-action"
+               " forests).\n"
                "  simulate --dataset idle|activity|routine|uncontrolled-day:N"
                " [--days D] [--seed S] --out FILE.pcap\n"
                "  train    --idle FILE.pcap --window-days D --out MODELS\n"
@@ -203,12 +203,11 @@ int usage() {
                "  explain  --alerts REPORT.json [--source"
                " periodic|short-term|long-term]\n"
                "  health   --capture FILE.pcap [--models MODELS]\n"
-               "  convert-models --in MODELS --out MODELS\n"
-               "      convert between the text and binary model formats"
-               " (extension\n"
-               "      selects each side; .bbm->.txt drops user-action"
-               " forests, which\n"
-               "      the text format does not carry)\n"
+               "  convert-models --in MODELS.bbm --out FILE\n"
+               "      re-save a .bbm model set, or render it as the text"
+               " dump for review\n"
+               "      when FILE does not end in .bbm (the dump drops"
+               " user-action forests)\n"
                "common:\n"
                "  --chaos SPEC             inject deterministic faults into"
                " the loaded or\n"
@@ -629,10 +628,8 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
   return rc;
 }
 
-/// Converts a model file between the text (.txt) and binary (.bbm) formats;
-/// each side's format is selected by its extension. Note the text format
-/// deliberately omits user-action forests, so .bbm → .txt drops them (and
-/// .txt → .bbm → .txt is byte-identical).
+/// Re-saves a .bbm model set, or renders it as the text dump when --out
+/// does not end in .bbm. The dump deliberately omits user-action forests.
 int cmd_convert(const std::map<std::string, std::string>& flags) {
   if (flags.count("in") == 0 || flags.count("out") == 0) return usage();
   const BehaviorModelSet models =
