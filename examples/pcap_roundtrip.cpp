@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
                              .chunk_size = 16 * 1024});
     while (auto p = reader.next()) parsed.packets.push_back(std::move(*p));
     parsed.stats = reader.stats();
-    parsed.skipped = parsed.stats.skipped();
     std::printf("      %s\n      streamed with a %zu-byte buffer\n",
                 parsed.stats.summary().c_str(), reader.buffer_capacity());
   }

@@ -644,7 +644,11 @@ WatchCheckpoint load_checkpoint_file(const std::string& path,
                              static_cast<std::streamsize>(size))) {
     throw SerializationError("read failed: " + path);
   }
-  return load_checkpoint(bytes, policy, stats);
+  try {
+    return load_checkpoint(bytes, policy, stats);
+  } catch (const SerializationError& e) {
+    throw e.in_file(path);
+  }
 }
 
 }  // namespace

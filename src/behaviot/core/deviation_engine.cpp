@@ -4,12 +4,9 @@
 
 namespace behaviot {
 
-DeviationEngine::DeviationEngine(const BehaviorModelSet& models,
-                                 PipelineOptions pipeline,
-                                 MonitorOptions monitor)
+DeviationEngine::DeviationEngine(const BehaviorModelSet& models)
     : models_(&models),
-      pipeline_(std::move(pipeline)),
-      monitor_(models.periodic, models.pfsm, models.short_term, monitor) {}
+      monitor_(models.periodic, models.pfsm, models.short_term) {}
 
 std::vector<DeviationAlert> DeviationEngine::process_window(
     const testbed::GeneratedCapture& capture) {

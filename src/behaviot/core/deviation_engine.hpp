@@ -11,8 +11,7 @@ namespace behaviot {
 class DeviationEngine {
  public:
   /// `models` must outlive the engine.
-  DeviationEngine(const BehaviorModelSet& models, PipelineOptions pipeline = {},
-                  MonitorOptions monitor = {});
+  explicit DeviationEngine(const BehaviorModelSet& models);
 
   /// Processes one window of raw capture. Classification state (timers, DNS
   /// knowledge) persists across windows.

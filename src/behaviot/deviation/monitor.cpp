@@ -115,13 +115,16 @@ std::vector<DeviationAlert> DeviationMonitor::evaluate_window(
                      });
   }
 
-  // Per-device best alert when aggregation is on.
+  // Each device's worst-scoring deviating group and how many of its groups
+  // deviated. The model loop only records the winner; the one periodic alert
+  // per device is built after it.
   struct DeviceWorst {
+    const PeriodicModel* model = nullptr;
     double score = 0.0;
     Timestamp when;
-    std::string context;
+    double elapsed = 0.0;
+    const FlowRecord* flow = nullptr;  ///< null for a silence
     std::size_t groups = 0;
-    AlertExplanation explanation;
   };
   std::map<DeviceId, DeviceWorst> device_worst;
 
@@ -132,7 +135,6 @@ std::vector<DeviationAlert> DeviationMonitor::evaluate_window(
     double worst_elapsed = 0.0;
     Timestamp worst_at = window_end;
     const FlowRecord* worst_flow = nullptr;
-    std::string cause;
 
     auto it = occur.find(key);
     auto last_it = last_seen_.find(key);
@@ -155,8 +157,6 @@ std::vector<DeviationAlert> DeviationMonitor::evaluate_window(
           worst_elapsed = elapsed;
           worst_at = o.at;
           worst_flow = o.flow;
-          cause = "inter-arrival " + std::to_string(elapsed) + "s vs period " +
-                  std::to_string(T) + "s";
         }
         last = o.at;
       }
@@ -173,8 +173,6 @@ std::vector<DeviationAlert> DeviationMonitor::evaluate_window(
           worst_elapsed = elapsed;
           worst_at = window_end;
           worst_flow = nullptr;  // a silence has no flow to locate
-          cause = "silent for " + std::to_string(elapsed) + "s vs period " +
-                  std::to_string(T) + "s";
           silence_reported_.insert(key);
         }
       } else if (m > options_.thresholds.periodic) {
@@ -184,82 +182,68 @@ std::vector<DeviationAlert> DeviationMonitor::evaluate_window(
       }
     }
     if (worst > options_.thresholds.periodic) {
-      AlertExplanation ex;
-      ex.metric = "Mp";
-      ex.observed = worst_elapsed;
-      ex.expected = T;
-      ex.threshold = options_.thresholds.periodic;
-      ex.model_group = model.group;
-      ex.support = model.support;
-      if (worst_flow != nullptr) {
-        // Provenance is best-effort: losing the cluster evidence must not
-        // lose the alert itself.
-        try {
-          const auto evidence = periodic_->cluster_evidence(
-              model.device, extract_features(*worst_flow));
-          if (evidence && evidence->cluster != kDbscanNoise) {
-            ex.cluster_id = evidence->cluster;
-            ex.cluster_distance = evidence->distance;
-          }
-        } catch (const std::exception&) {
-          ex.model_group += " (cluster evidence unavailable)";
-        }
-      }
-      if (options_.aggregate_periodic_per_device) {
-        DeviceWorst& dw = device_worst[model.device];
-        ++dw.groups;
-        if (worst > dw.score) {
-          dw.score = worst;
-          dw.when = worst_at;
-          dw.context = model.group + ": " + cause;
-          dw.explanation = std::move(ex);
-        }
-      } else {
-        DeviationAlert a;
-        a.source = DeviationSource::kPeriodic;
-        a.when = worst_at;
-        a.device = model.device;
-        a.score = worst;
-        a.threshold = options_.thresholds.periodic;
-        a.context = model.group + ": " + cause;
-        a.explanation = std::move(ex);
-        alerts.push_back(std::move(a));
+      DeviceWorst& dw = device_worst[model.device];
+      ++dw.groups;
+      if (dw.model == nullptr || worst > dw.score) {
+        dw.model = &model;
+        dw.score = worst;
+        dw.when = worst_at;
+        dw.elapsed = worst_elapsed;
+        dw.flow = worst_flow;
       }
     }
   }
-  for (auto& [device, dw] : device_worst) {
+  for (const auto& [device, dw] : device_worst) {
+    const PeriodicModel& model = *dw.model;
     DeviationAlert a;
     a.source = DeviationSource::kPeriodic;
     a.when = dw.when;
     a.device = device;
     a.score = dw.score;
     a.threshold = options_.thresholds.periodic;
-    a.context = dw.context;
+    a.context = model.group +
+                (dw.flow != nullptr ? ": inter-arrival " : ": silent for ") +
+                std::to_string(dw.elapsed) + "s vs period " +
+                std::to_string(model.period_seconds) + "s";
     if (dw.groups > 1) {
       a.context += " (+" + std::to_string(dw.groups - 1) +
                    " co-deviating groups)";
     }
-    a.explanation = std::move(dw.explanation);
+    AlertExplanation& ex = a.explanation;
+    ex.metric = "Mp";
+    ex.observed = dw.elapsed;
+    ex.expected = model.period_seconds;
+    ex.threshold = options_.thresholds.periodic;
+    ex.model_group = model.group;
+    ex.support = model.support;
+    if (dw.flow != nullptr) {
+      // Provenance is best-effort: losing the cluster evidence must not
+      // lose the alert itself.
+      try {
+        const auto evidence =
+            periodic_->cluster_evidence(device, extract_features(*dw.flow));
+        if (evidence && evidence->cluster != kDbscanNoise) {
+          ex.cluster_id = evidence->cluster;
+          ex.cluster_distance = evidence->distance;
+        }
+      } catch (const std::exception&) {
+        ex.model_group += " (cluster evidence unavailable)";
+      }
+    }
     alerts.push_back(std::move(a));
   }
   primed_ = true;
 
   // ---- Short-term deviation (per trace) ----
-  std::set<std::string> seen_sequences;
+  // A deviating label sequence alerts once: a repeat within this window or
+  // in any later one is the same behavior change.
   for (const EventTrace& trace : traces) {
     const auto labels = trace_labels(trace);
-    const double score =
-        short_term_deviation(*pfsm_, labels, options_.smoothing_alpha);
+    const double score = short_term_deviation(*pfsm_, labels);
     if (short_term_.exceeded(score)) {
-      if (options_.dedupe_short_term_traces) {
-        std::string signature;
-        for (const auto& l : labels) signature += l + "|";
-        if (!seen_sequences.insert(signature).second) continue;
-        if (options_.dedupe_short_term_across_windows &&
-            !reported_sequences_.insert(signature).second) {
-          continue;
-        }
-      }
+      std::string signature;
+      for (const auto& l : labels) signature += l + "|";
+      if (!reported_sequences_.insert(signature).second) continue;
       DeviationAlert a;
       a.source = DeviationSource::kShortTerm;
       a.when = trace.front().ts;
@@ -295,7 +279,7 @@ std::vector<DeviationAlert> DeviationMonitor::evaluate_window(
   for (const EventTrace& t : traces) window_labels.push_back(trace_labels(t));
   const auto long_term = long_term_deviations(*pfsm_, window_labels);
   double z_threshold = options_.thresholds.long_term_z;
-  if (options_.long_term_family_wise && !long_term.empty()) {
+  if (!long_term.empty()) {
     // The window tests every observed transition; correct the per-test
     // threshold so the family-wise false-alarm rate stays at 5%.
     z_threshold = std::max(

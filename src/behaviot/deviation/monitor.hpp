@@ -66,27 +66,9 @@ struct DeviationAlert {
   AlertExplanation explanation;
 };
 
+/// Significance thresholds of the three metrics: the monitor's one setting.
 struct MonitorOptions {
   DeviationThresholds thresholds;
-  double smoothing_alpha = kDefaultSmoothingAlpha;
-  /// At most one periodic alert per model per window (the paper reports
-  /// deviations, not every late heartbeat).
-  bool dedupe_periodic_per_model = true;
-  /// Identical deviating label sequences within one window collapse into a
-  /// single short-term alert (a repeating anomaly is one deviation).
-  bool dedupe_short_term_traces = true;
-  /// ...and across windows: a novel sequence is one behavior change, not a
-  /// new deviation every day it recurs.
-  bool dedupe_short_term_across_windows = true;
-  /// One periodic alert per device per window, carrying the worst-scoring
-  /// group and the number of co-deviating groups. A whole-device outage is
-  /// one deviation, not one per heartbeat destination.
-  bool aggregate_periodic_per_device = true;
-  /// Bonferroni-style correction of the long-term threshold: a window tests
-  /// every observed transition, so the per-transition z threshold is set
-  /// for a family-wise 5% at z(1 - 0.05 / #transitions) instead of the raw
-  /// 95% CI. Keeps daily windows from flagging noise transitions.
-  bool long_term_family_wise = true;
 };
 
 /// Serializable streaming state of a DeviationMonitor (checkpointing):
@@ -110,7 +92,17 @@ class DeviationMonitor {
   /// Evaluates one window. `flows` are the window's flows (periodic-group
   /// timing is derived from them); `traces` its user-event traces. Stateful:
   /// last-seen times persist across windows so outages spanning windows
-  /// keep scoring.
+  /// keep scoring. Alert volume follows the paper's counts:
+  ///  - one periodic alert per device per window, carrying the worst-scoring
+  ///    group and the number of co-deviating groups (a whole-device outage
+  ///    is one deviation, not one per heartbeat destination), and one per
+  ///    continuing silence episode;
+  ///  - one short-term alert per deviating label sequence, ever (a repeat,
+  ///    in this window or a later one, is the same behavior change);
+  ///  - a Bonferroni-corrected long-term threshold: a window tests every
+  ///    observed transition, so the per-transition z threshold is set for a
+  ///    family-wise 5% at z(1 - 0.05 / #transitions) instead of the raw 95%
+  ///    CI, which keeps daily windows from flagging noise transitions.
   std::vector<DeviationAlert> evaluate_window(
       Timestamp window_start, Timestamp window_end,
       std::span<const FlowRecord> flows, std::span<const EventTrace> traces);

@@ -256,7 +256,6 @@ PcapReadResult read_all(std::istream& in, ParsePolicy policy) {
   PcapReadResult result;
   while (auto p = reader.next()) result.packets.push_back(std::move(*p));
   result.stats = reader.stats();
-  result.skipped = result.stats.skipped();
   record_parse_stats(result.stats);
   return result;
 }

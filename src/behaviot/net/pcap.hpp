@@ -125,7 +125,6 @@ class PcapReader {
 
 struct PcapReadResult {
   std::vector<Packet> packets;
-  std::size_t skipped = 0;  ///< == stats.skipped(); kept for existing callers
   ParseStats stats;
 };
 

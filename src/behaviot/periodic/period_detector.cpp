@@ -13,8 +13,22 @@
 namespace behaviot {
 namespace {
 
+/// Bin width used to rasterize event times into a series. 1 s matches the
+/// burst-gap resolution of the assembler.
+constexpr double kBinSeconds = 1.0;
+/// A periodogram peak is a candidate when its power exceeds
+/// median + kPowerSigmaThreshold * 1.4826*MAD of the (non-DC) spectrum.
+constexpr double kPowerSigmaThreshold = 6.0;
+/// Validation stops once this many candidates have validated.
+constexpr std::size_t kMaxValidatedPeriods = 10;
+/// Minimum normalized ACF at the candidate lag to validate.
+constexpr double kMinAutocorr = 0.3;
+/// Cap on the coarse periodogram length; longer windows are binned more
+/// coarsely (the per-candidate ACF re-bins independently, so coarsening
+/// only limits the smallest detectable period to ~2 coarse bins).
+constexpr std::size_t kMaxBins = std::size_t{1} << 14;
+
 struct Candidate {
-  std::size_t k;  ///< frequency bin in the coarse periodogram
   double lag_bins;
   double power;
 };
@@ -65,9 +79,6 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point since) {
 
 }  // namespace
 
-PeriodDetector::PeriodDetector(PeriodDetectorOptions options)
-    : options_(options) {}
-
 std::vector<DetectedPeriod> PeriodDetector::detect(
     std::span<const double> event_times_seconds, double window_seconds) const {
   PeriodWorkspace ws;
@@ -90,11 +101,11 @@ std::vector<DetectedPeriod> PeriodDetector::detect(
   std::size_t pruned = 0;
 
   // ---- Stage 1: coarse periodogram for candidate frequencies. ----
-  // Bins widen when the window exceeds max_bins at the configured resolution;
-  // the fundamental of any period >= 2 bins survives coarsening.
-  double bin = options_.bin_seconds;
-  if (window_seconds / bin > static_cast<double>(options_.max_bins)) {
-    bin = window_seconds / static_cast<double>(options_.max_bins);
+  // Bins widen when the window exceeds kMaxBins at 1-s resolution; the
+  // fundamental of any period >= 2 bins survives coarsening.
+  double bin = kBinSeconds;
+  if (window_seconds / bin > static_cast<double>(kMaxBins)) {
+    bin = window_seconds / static_cast<double>(kMaxBins);
   }
   rasterize(event_times_seconds, t0, window_seconds, bin, ws.series);
   const std::vector<double>& power = power_spectrum(ws.series, ws);
@@ -107,7 +118,7 @@ std::vector<DetectedPeriod> PeriodDetector::detect(
   const double med = stats::median(nondc, ws.scratch);
   const double mad = stats::median_abs_deviation(nondc, ws.scratch);
   const double threshold =
-      med + options_.power_sigma_threshold * 1.4826 * std::max(mad, 1e-12);
+      med + kPowerSigmaThreshold * 1.4826 * std::max(mad, 1e-12);
 
   const std::size_t n_fft = next_pow2(ws.series.size());
   std::vector<Candidate> candidates;
@@ -118,43 +129,18 @@ std::vector<DetectedPeriod> PeriodDetector::detect(
     if (power[k] < left || power[k] < right) continue;  // shoulder bin
     const double lag_bins = static_cast<double>(n_fft) / static_cast<double>(k);
     const double period_s = lag_bins * bin;
-    if (window_seconds / period_s < options_.min_cycles) continue;
+    if (window_seconds / period_s < kMinPeriodCycles) continue;
     if (lag_bins < 2.0) continue;  // beyond Nyquist usefulness
-    candidates.push_back({k, lag_bins, power[k]});
+    candidates.push_back({lag_bins, power[k]});
   }
   // The scan runs in ascending frequency = descending period, so candidates
   // arrive sorted: fundamentals come before their harmonics.
 
-  if (options_.prune_harmonics) {
-    // Approximate, opt-in (see PeriodDetectorOptions): drop candidates whose
-    // bin is an integer multiple (within one bin of spectral leakage) of a
-    // kept candidate's bin before paying for their ACF validation.
-    std::vector<Candidate> kept;
-    kept.reserve(candidates.size());
-    for (const Candidate& c : candidates) {
-      bool harmonic = false;
-      for (const Candidate& f : kept) {
-        const std::size_t m = (c.k + f.k / 2) / f.k;  // nearest multiple
-        const std::size_t nearest = m * f.k;
-        const std::size_t dist = c.k > nearest ? c.k - nearest : nearest - c.k;
-        if (m >= 2 && dist <= 1) {
-          harmonic = true;
-          break;
-        }
-      }
-      if (harmonic) {
-        ++pruned;
-      } else {
-        kept.push_back(c);
-      }
-    }
-    candidates.swap(kept);
-  }
-
   // Validation examines at most kExaminedHorizon candidates (and stops early
-  // once max_candidates have validated), so everything past the horizon is
-  // unreachable — drop it before the expensive stage and count it as pruned.
-  // This is exact: the kept prefix is what the uncapped loop would examine.
+  // once kMaxValidatedPeriods have validated), so everything past the
+  // horizon is unreachable — drop it before the expensive stage and count it
+  // as pruned. This is exact: the kept prefix is what the uncapped loop would
+  // examine.
   constexpr std::size_t kExaminedHorizon = 24;
   if (candidates.size() > kExaminedHorizon) {
     pruned += candidates.size() - kExaminedHorizon;
@@ -176,7 +162,7 @@ std::vector<DetectedPeriod> PeriodDetector::detect(
   // harmonics, including genuinely overlapping periods in one group.
   constexpr double kBinsPerPeriod = 50.0;
   for (const Candidate& c : candidates) {
-    if (result.size() >= options_.max_candidates) break;
+    if (result.size() >= kMaxValidatedPeriods) break;
     ++examined;
     const double period_s = c.lag_bins * bin;
     const double bin2 = period_s / kBinsPerPeriod;
@@ -188,7 +174,7 @@ std::vector<DetectedPeriod> PeriodDetector::detect(
     rasterize(event_times_seconds, t0, validation_window, bin2, ws.raster);
     boxcar3(ws.raster, ws.smooth);
     auto v = validate_period(ws.smooth, kBinsPerPeriod, /*search_frac=*/0.16,
-                             options_.min_autocorr);
+                             kMinAutocorr);
     if (!v) continue;
     result.push_back({v->refined_lag * bin2, c.power, v->score});
   }

@@ -16,38 +16,12 @@ struct DetectedPeriod {
   double autocorr_score = 0.0;  ///< validated ACF value
 };
 
-struct PeriodDetectorOptions {
-  /// Bin width used to rasterize event times into a series. 1 s matches the
-  /// burst-gap resolution of the assembler.
-  double bin_seconds = 1.0;
-  /// A periodogram peak is a candidate when its power exceeds
-  /// median + sigma_threshold * 1.4826*MAD of the (non-DC) spectrum.
-  double power_sigma_threshold = 6.0;
-  /// Candidates examined, strongest first.
-  std::size_t max_candidates = 10;
-  /// Minimum normalized ACF at the candidate lag to validate.
-  double min_autocorr = 0.3;
-  /// A period is only trustworthy if the window holds at least this many
-  /// cycles (the paper notes ~24 h periods are not detectable in 5 days).
-  double min_cycles = 3.0;
-  /// Cap on the coarse periodogram length; longer windows are binned more
-  /// coarsely (the per-candidate ACF re-bins independently, so coarsening
-  /// only limits the smallest detectable period to ~2 coarse bins).
-  std::size_t max_bins = std::size_t{1} << 14;
-  /// Opt-in pre-validation rejection of candidates whose frequency bin is an
-  /// integer multiple (within one bin) of an already-kept candidate's. Skips
-  /// the ACF pass on pure spectral harmonics — but it is approximate: a
-  /// genuinely overlapping shorter period can be dropped, and pruning frees
-  /// examination budget for candidates the exact path never reaches, so
-  /// detected periods may differ. Off by default; the pipeline leaves it off
-  /// (models must stay bit-identical to the reference implementation).
-  bool prune_harmonics = false;
-};
+/// A period is only trustworthy if the window holds at least this many
+/// cycles (the paper notes ~24 h periods are not detectable in 5 days).
+inline constexpr double kMinPeriodCycles = 3.0;
 
 class PeriodDetector {
  public:
-  explicit PeriodDetector(PeriodDetectorOptions options = {});
-
   /// Detects all validated periods in a set of event occurrence times
   /// (seconds, arbitrary origin) over an observation window of
   /// `window_seconds`. Returns periods sorted by descending ACF score with
@@ -68,9 +42,6 @@ class PeriodDetector {
   [[nodiscard]] std::optional<DetectedPeriod> dominant_period(
       std::span<const double> event_times_seconds,
       double window_seconds) const;
-
- private:
-  PeriodDetectorOptions options_;
 };
 
 }  // namespace behaviot

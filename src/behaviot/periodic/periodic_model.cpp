@@ -12,6 +12,7 @@
 #include "behaviot/obs/metrics.hpp"
 #include "behaviot/obs/span.hpp"
 #include "behaviot/periodic/fft.hpp"
+#include "behaviot/periodic/period_detector.hpp"
 #include "behaviot/runtime/runtime.hpp"
 
 namespace behaviot {
@@ -90,7 +91,7 @@ PeriodicModelSet PeriodicModelSet::infer(
   }
   set.stats_.groups_total = groups.size();
 
-  const PeriodDetector detector(options.detector);
+  const PeriodDetector detector;
 
   // Period detection (FFT + autocorrelation per group) dominates inference;
   // groups are independent, so they run data-parallel. Each group writes its

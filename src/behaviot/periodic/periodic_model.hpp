@@ -14,7 +14,6 @@
 #include "behaviot/flow/features.hpp"
 #include "behaviot/flow/flow.hpp"
 #include "behaviot/periodic/dbscan.hpp"
-#include "behaviot/periodic/period_detector.hpp"
 
 namespace behaviot {
 
@@ -67,7 +66,6 @@ struct DeviceGroupHash {
 };
 
 struct PeriodicInferenceOptions {
-  PeriodDetectorOptions detector;
   /// Groups smaller than this cannot establish a period.
   std::size_t min_group_flows = 4;
   DbscanOptions dbscan{.eps = 1.5, .min_points = 3};

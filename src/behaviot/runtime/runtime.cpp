@@ -13,6 +13,10 @@
 namespace behaviot::runtime {
 namespace {
 
+/// Scheduling grain: chunks handed out per thread. More chunks smooth out
+/// imbalanced per-index work at the cost of more cursor traffic.
+constexpr std::size_t kChunksPerThread = 8;
+
 /// True while this thread is executing inside a parallel region (a worker,
 /// or the caller running its own share of chunks). Nested parallel_for
 /// calls from such a thread run inline instead of re-entering the pool.
@@ -57,11 +61,11 @@ struct ThreadPool::Job {
   std::string trace_label;
 };
 
-ThreadPool::ThreadPool(RuntimeOptions options) : options_(options) {
-  if (options_.threads == 0) options_.threads = default_threads();
-  if (options_.chunks_per_thread == 0) options_.chunks_per_thread = 1;
-  workers_.reserve(options_.threads - 1);
-  for (std::size_t i = 0; i + 1 < options_.threads; ++i) {
+ThreadPool::ThreadPool(RuntimeOptions options) {
+  const std::size_t threads =
+      options.threads == 0 ? default_threads() : options.threads;
+  workers_.reserve(threads - 1);
+  for (std::size_t i = 0; i + 1 < threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
@@ -136,7 +140,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     const std::string& parent = obs::current_span_path();
     job.trace_label = parent.empty() ? "parallel_for" : parent + "/task";
   }
-  const std::size_t target_chunks = threads() * options_.chunks_per_thread;
+  const std::size_t target_chunks = threads() * kChunksPerThread;
   job.chunk = std::max<std::size_t>(1, (n + target_chunks - 1) / target_chunks);
   job.num_chunks = (n + job.chunk - 1) / job.chunk;
 

@@ -58,9 +58,6 @@ struct RuntimeOptions {
   /// Worker count. 0 = use the BEHAVIOT_THREADS environment variable when it
   /// is set to a positive integer, otherwise hardware concurrency.
   std::size_t threads = 0;
-  /// Scheduling grain: chunks handed out per thread. More chunks smooth out
-  /// imbalanced per-index work at the cost of more cursor traffic.
-  std::size_t chunks_per_thread = 8;
 };
 
 /// Thread count a default-constructed pool resolves to: BEHAVIOT_THREADS
@@ -123,7 +120,6 @@ class ThreadPool {
   void worker_loop(std::size_t worker_index);
   static void run_job(Job& job);
 
-  RuntimeOptions options_;
   std::vector<std::thread> workers_;
 
   std::mutex mu_;

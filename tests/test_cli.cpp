@@ -459,6 +459,25 @@ TEST_F(CliTest, ScoreRejectsATextDumpNamingItsPath) {
       << result.output;
 }
 
+TEST_F(CliTest, ResumeRejectsANonCheckpointNamingItsPath) {
+  // A model file handed to --resume is not a checkpoint: the restore fails
+  // with one line that names the file, as a bad --models path does.
+  const std::string pcap = *dir_ + "/resume_wrong.pcap";
+  const std::string models = *dir_ + "/resume_wrong.bbm";
+  ASSERT_EQ(run("simulate --dataset idle --days 0.05 --seed 6 --out " + pcap)
+                .exit_code,
+            0);
+  ASSERT_EQ(run("train --idle " + pcap + " --window-days 0.05 --out " + models)
+                .exit_code,
+            0);
+  const auto result = run("watch --resume " + models + " --capture " + pcap);
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_EQ(std::count(result.output.begin(), result.output.end(), '\n'), 1)
+      << result.output;
+  EXPECT_EQ(result.output.rfind("error: " + models + ": ", 0), 0u)
+      << result.output;
+}
+
 // ---- Live telemetry: rotation, crash-safety, HTTP endpoint ----
 
 /// Forks and execs the CLI with stdout+stderr redirected to `out_path`.

@@ -128,7 +128,7 @@ TEST_F(IntegrationTest, PcapRoundTripPreservesPipelineResults) {
   const auto bytes = serialize_pcap(capture.packets);
   const auto parsed = parse_pcap(bytes);
   EXPECT_EQ(parsed.packets.size(), capture.packets.size());
-  EXPECT_EQ(parsed.skipped, 0u);
+  EXPECT_EQ(parsed.stats.skipped(), 0u);
 
   DomainResolver r1, r2;
   testbed::configure_resolver(r1, capture);

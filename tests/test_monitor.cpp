@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "behaviot/pfsm/synoptic.hpp"
 
 namespace behaviot {
@@ -108,6 +110,66 @@ TEST(DeviationMonitor, SilencedHeartbeatTriggersPeriodicAlert) {
   EXPECT_EQ(alerts[0].device, 1);
   EXPECT_GT(alerts[0].score, kPeriodicDeviationThreshold);
   EXPECT_NE(alerts[0].context.find("silent"), std::string::npos);
+}
+
+TEST(DeviationMonitor, OneAlertPerDeviceNamesTheWorstGroup) {
+  // Two groups of one device go silent in the same window. The device
+  // raises one alert: the 300 s group misses more cycles, so it scores
+  // worst and names the alert; the 600 s group is only counted.
+  MonitorFixture fx;
+  const auto flow_at = [&fx](const std::string& domain, double t_s) {
+    FlowRecord f = fx.heartbeat_at(t_s);
+    f.domain = domain;
+    return f;
+  };
+  const auto model_of = [&](const std::string& domain, double period_s) {
+    PeriodicModel m;
+    m.device = 1;
+    m.group = flow_at(domain, 0.0).group_key();
+    m.domain = domain;
+    m.app = AppProtocol::kTls;
+    m.period_seconds = period_s;
+    m.tolerance_seconds = 0.02 * period_s;
+    m.support = 100;
+    return m;
+  };
+  // The 600 s group comes first, so the 300 s group must displace it.
+  const PeriodicModelSet periodic = PeriodicModelSet::from_models(
+      {model_of("slow.vendor.com", 600.0), model_of("fast.vendor.com", 300.0)});
+  DeviationMonitor monitor(periodic, fx.pfsm, fx.short_term);
+  const double day = 86400.0;
+
+  std::vector<FlowRecord> day1;
+  for (double t = 0; t < day; t += 600.0) {
+    day1.push_back(flow_at("slow.vendor.com", t));
+  }
+  for (double t = 0; t < day; t += 300.0) {
+    day1.push_back(flow_at("fast.vendor.com", t));
+  }
+  std::sort(day1.begin(), day1.end(),
+            [](const FlowRecord& a, const FlowRecord& b) {
+              return a.start < b.start;
+            });
+  EXPECT_TRUE(monitor
+                  .evaluate_window(Timestamp(0), Timestamp::from_seconds(day),
+                                   day1, {})
+                  .empty());
+
+  const auto alerts = monitor.evaluate_window(
+      Timestamp::from_seconds(day), Timestamp::from_seconds(2 * day), {}, {});
+  ASSERT_EQ(alerts.size(), 1u);
+  const DeviationAlert& a = alerts[0];
+  EXPECT_EQ(a.source, DeviationSource::kPeriodic);
+  EXPECT_EQ(a.device, 1);
+  const std::string fast_group = periodic.all()[1].group;
+  EXPECT_EQ(a.context.rfind(fast_group + ": silent for ", 0), 0u) << a.context;
+  const std::string suffix = " (+1 co-deviating groups)";
+  ASSERT_GE(a.context.size(), suffix.size());
+  EXPECT_EQ(a.context.substr(a.context.size() - suffix.size()), suffix)
+      << a.context;
+  EXPECT_EQ(a.explanation.model_group, fast_group);
+  EXPECT_EQ(a.explanation.expected, 300.0);
+  EXPECT_NEAR(a.score, periodic_deviation(day + 300.0, 300.0), 1e-9);
 }
 
 TEST(DeviationMonitor, LateArrivalWithinToleranceIsQuiet) {

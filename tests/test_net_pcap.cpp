@@ -35,7 +35,7 @@ TEST(PcapRoundTrip, PreservesTimingSizesAndTuples) {
   const auto bytes = serialize_pcap(in);
   const PcapReadResult out = parse_pcap(bytes);
   ASSERT_EQ(out.packets.size(), in.size());
-  EXPECT_EQ(out.skipped, 0u);
+  EXPECT_EQ(out.stats.skipped(), 0u);
   for (std::size_t i = 0; i < in.size(); ++i) {
     EXPECT_EQ(out.packets[i].ts, in[i].ts) << i;
     EXPECT_EQ(out.packets[i].size, in[i].size) << i;
