@@ -28,9 +28,6 @@ class EssentialList {
   [[nodiscard]] std::size_t essential_count() const {
     return essential_.size();
   }
-  [[nodiscard]] std::size_t non_essential_count() const {
-    return non_essential_.size();
-  }
 
  private:
   std::set<std::string> essential_;

@@ -527,19 +527,4 @@ std::size_t BinaryModelView::periodic_count() const {
   return c.count("periodic model count", 61);
 }
 
-std::optional<ThresholdsView> BinaryModelView::thresholds() const {
-  const Section* s = find_section(kSectionThresholds);
-  if (s == nullptr) return std::nullopt;
-  Cursor c = section_cursor(image_.subspan(s->offset, s->size), s->offset,
-                            "thresholds");
-  ThresholdsView t;
-  t.periodic = c.f64("periodic threshold");
-  t.long_term_z = c.f64("long-term z threshold");
-  t.short_term_mean = c.f64("short-term mean");
-  t.short_term_sigma = c.f64("short-term sigma");
-  t.short_term_n_sigma = c.f64("short-term n-sigma");
-  if (!c.at_end()) c.fail("trailing bytes after thresholds");
-  return t;
-}
-
 }  // namespace behaviot

@@ -59,7 +59,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -135,15 +134,6 @@ struct PeriodicModelView {
   [[nodiscard]] PeriodicModel materialize() const;
 };
 
-/// The thresholds section decoded by value (it is all scalars).
-struct ThresholdsView {
-  double periodic = 0.0;
-  double long_term_z = 0.0;
-  double short_term_mean = 0.0;
-  double short_term_sigma = 0.0;
-  double short_term_n_sigma = 0.0;
-};
-
 /// Zero-copy accessor over a .bbm image — the "one read + in-place pointer
 /// walk" load the format is laid out for. open() validates everything
 /// structural (header, section table, size accounting, CRC trailer) and
@@ -168,11 +158,7 @@ class BinaryModelView {
   [[nodiscard]] std::vector<PeriodicModelView> periodic() const;
 
   [[nodiscard]] std::size_t periodic_count() const;
-  [[nodiscard]] std::optional<ThresholdsView> thresholds() const;
   [[nodiscard]] bool has_section(std::uint32_t id) const;
-  [[nodiscard]] const std::vector<Section>& sections() const {
-    return sections_;
-  }
 
  private:
   BinaryModelView() = default;

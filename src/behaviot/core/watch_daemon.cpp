@@ -197,7 +197,11 @@ int WatchDaemon::stream() {
     obs::counter("watch.input_reopens").inc();
     obs::health().degrade("watch.input", "input-reopened");
     sleep_unless_stopped(backoff_ms);
-    backoff_ms = std::min(backoff_ms * 2, o.reopen_backoff_max_ms);
+    // Doubles up to the cap without overflowing a poll interval near
+    // LONG_MAX.
+    backoff_ms = backoff_ms > o.reopen_backoff_max_ms / 2
+                     ? o.reopen_backoff_max_ms
+                     : backoff_ms * 2;
   }
   if (!engine_->done() && !stopping()) flush_chunk();
   return 0;

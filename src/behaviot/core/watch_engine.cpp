@@ -48,8 +48,7 @@ void WatchEngine::advance_windows(bool to_completion) {
   for (;;) {
     if (done_) break;
     if (!t0_) {
-      // The first released packet carries the minimum flow start — the same
-      // t0 the batch path reads off its sorted flow list.
+      // The first released packet carries the minimum flow start.
       t0_ = assembler_.first_release();
       if (!t0_) break;
     }
@@ -61,9 +60,7 @@ void WatchEngine::advance_windows(bool to_completion) {
       break;
     }
     if (to_completion) {
-      // Mirror the batch loop bound: windows exist while ws < max flow end
-      // + 1 s. Flows always drain before ws passes that bound, so the
-      // window count matches the batch path exactly.
+      // Windows exist while flows remain or ws < max flow end + 1 s.
       const bool flows_left = assembler_.sealed_pending() > 0;
       const bool time_left =
           max_end_.micros() != std::numeric_limits<std::int64_t>::min() &&

@@ -8,11 +8,15 @@
 //                                      retrain buffer    ModelHandle swap
 //                                              └── background merge ──┘
 //
-// Windows follow the batch `score --window-s` grid exactly — the k-th
-// window is [t0 + kW, t0 + (k+1)W) with t0 the first flow start — and a
-// window is evaluated as soon as the assembler's seal watermark passes its
-// end, so on any finite capture the streamed alerts are identical to the
-// batch path's.
+// The k-th window is [t0 + kW, t0 + (k+1)W) with t0 the first flow start;
+// windows run while flows remain or the window starts before the latest
+// flow end + 1 s. A window is evaluated as soon as the assembler's seal
+// watermark passes its end. `score --window-s` is this engine fed the whole
+// capture in one ingest() call under a hold-all reorder horizon, so every
+// flow is resolved with every DNS/SNI binding in the capture. `watch` feeds
+// 1024-packet chunks, and a flow sealed before its binding arrives is
+// resolved with only the DNS seen so far, so its alerts can differ from
+// `score --window-s` on such captures (DESIGN.md §5h; ROADMAP item 6).
 //
 // Retraining is deterministic by construction: a retrain generation is
 // launched right after window k closes and *always* joined (and its model
@@ -132,8 +136,7 @@ class WatchEngine {
   void ingest(std::span<const Packet> packets);
 
   /// End of stream: flushes the assembler and evaluates all remaining
-  /// windows (same window count as the batch path). Joins any in-flight
-  /// retrain. Idempotent.
+  /// windows. Joins any in-flight retrain. Idempotent.
   void finish();
 
   /// True once max_windows/until was hit or finish() completed — the caller

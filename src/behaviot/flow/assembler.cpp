@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "behaviot/obs/health.hpp"
@@ -175,9 +176,23 @@ void StreamingFlowAssembler::seal(
   open_packets_ -= of.rec.packets.size();
   open_starts_.erase(open_starts_.find(of.rec.start));
   lru_.erase(of.lru);
-  sealed_.push_back(std::move(of.rec));
+  push_sealed(std::move(of.rec));
   open_.erase(it);
   ++stats_.flows_sealed;
+}
+
+void StreamingFlowAssembler::push_sealed(FlowRecord rec) {
+  // Insert after every flow that sorts no later, so equal (start, tuple)
+  // pairs, which a cap can produce, stay in seal order. Most flows seal in
+  // start order and go to the back.
+  const auto earlier = [](const FlowRecord& a, const SealedFlow& b) {
+    return std::tie(a.start, a.tuple) < std::tie(b.rec.start, b.rec.tuple);
+  };
+  auto pos = sealed_.end();
+  if (!sealed_.empty() && earlier(rec, sealed_.back())) {
+    pos = std::upper_bound(sealed_.begin(), sealed_.end(), rec, earlier);
+  }
+  sealed_.insert(pos, SealedFlow{next_seal_seq_++, std::move(rec)});
 }
 
 void StreamingFlowAssembler::sweep_idle(Timestamp now) {
@@ -256,17 +271,13 @@ std::vector<FlowRecord> StreamingFlowAssembler::drain_sealed(Timestamp before) {
     const Timestamp bound = release_bound();
     if (bound != Timestamp(kMinUs)) sweep_idle(bound + 1);
   }
-  std::vector<FlowRecord> picked;
-  std::vector<FlowRecord> keep;
-  keep.reserve(sealed_.size());
-  for (FlowRecord& rec : sealed_) {
-    (rec.start < before ? picked : keep).push_back(std::move(rec));
-  }
-  sealed_ = std::move(keep);
-
+  const auto end = std::partition_point(
+      sealed_.begin(), sealed_.end(),
+      [before](const SealedFlow& s) { return s.rec.start < before; });
   std::vector<FlowRecord> out;
-  out.reserve(picked.size());
-  for (FlowRecord& rec : picked) {
+  out.reserve(static_cast<std::size_t>(end - sealed_.begin()));
+  for (auto it = sealed_.begin(); it != end; ++it) {
+    FlowRecord& rec = it->rec;
     rec.domain = resolver_->resolve(rec.tuple.dst.ip);
     if (options_.base.drop_infrastructure &&
         (rec.app == AppProtocol::kDns || rec.app == AppProtocol::kNtp)) {
@@ -281,12 +292,7 @@ std::vector<FlowRecord> StreamingFlowAssembler::drain_sealed(Timestamp before) {
     ++stats_.flows_emitted;
     out.push_back(std::move(rec));
   }
-  // Deterministic output order: by start time, then tuple.
-  std::sort(out.begin(), out.end(),
-            [](const FlowRecord& a, const FlowRecord& b) {
-              if (a.start != b.start) return a.start < b.start;
-              return a.tuple < b.tuple;
-            });
+  sealed_.erase(sealed_.begin(), end);
   return out;
 }
 
@@ -303,7 +309,13 @@ StreamingAssemblerState StreamingFlowAssembler::export_state() const {
   s.first_release = first_release_;
   s.open.reserve(lru_.size());
   for (const FiveTuple& t : lru_) s.open.push_back(open_.at(t).rec);
-  s.sealed = sealed_;
+  std::vector<SealedFlow> by_seal(sealed_.begin(), sealed_.end());
+  std::sort(by_seal.begin(), by_seal.end(),
+            [](const SealedFlow& a, const SealedFlow& b) {
+              return a.seq < b.seq;
+            });
+  s.sealed.reserve(by_seal.size());
+  for (SealedFlow& sealed : by_seal) s.sealed.push_back(std::move(sealed.rec));
   s.finished = finished_;
   s.stats = stats_;
   return s;
@@ -333,7 +345,9 @@ void StreamingFlowAssembler::import_state(StreamingAssemblerState s) {
     of.rec = std::move(rec);
     open_.emplace(key, std::move(of));
   }
-  sealed_ = std::move(s.sealed);
+  sealed_.clear();
+  next_seal_seq_ = 0;
+  for (FlowRecord& rec : s.sealed) push_sealed(std::move(rec));
   finished_ = s.finished;
   stats_ = s.stats;
   note_peaks();
@@ -344,7 +358,6 @@ FlowAssembler::FlowAssembler(AssemblerOptions options) : options_(options) {}
 std::vector<FlowRecord> FlowAssembler::assemble(
     std::span<const Packet> packets, DomainResolver& resolver) const {
   obs::StageSpan span("flow.assemble");
-  obs::health().heartbeat("flow.assembler");
 
   // Hold-all horizon: nothing is released until finish(), so the reorder
   // stage performs one global stable sort — identical to sorting the whole
@@ -357,8 +370,12 @@ std::vector<FlowRecord> FlowAssembler::assemble(
   core.finish();
   std::vector<FlowRecord> out =
       core.drain_sealed(Timestamp(std::numeric_limits<std::int64_t>::max()));
+  report_assembly(core.stats());
+  return out;
+}
 
-  const StreamingAssemblerStats& st = core.stats();
+void report_assembly(const StreamingAssemblerStats& st) {
+  obs::health().heartbeat("flow.assembler");
   if (st.clamped_ts > 0) {
     obs::counter("ingest.nonmonotonic_ts").add(st.clamped_ts);
     obs::health().degrade("flow.assembler",
@@ -374,10 +391,9 @@ std::vector<FlowRecord> FlowAssembler::assemble(
   static auto& packets_in = obs::counter("flow.packets_in");
   static auto& assembled = obs::counter("flow.assembled");
   static auto& dropped = obs::counter("flow.infrastructure_dropped");
-  packets_in.add(packets.size());
-  assembled.add(out.size());
+  packets_in.add(st.packets_in);
+  assembled.add(st.flows_emitted);
   dropped.add(st.infrastructure_dropped);
-  return out;
 }
 
 }  // namespace behaviot

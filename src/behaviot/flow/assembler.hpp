@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <list>
 #include <optional>
@@ -127,7 +128,8 @@ class StreamingFlowAssembler {
 
   /// Removes and returns sealed flows with start < `before`, annotated with
   /// the resolver's current knowledge, infrastructure-filtered per options,
-  /// sorted by (start, tuple). Only final once seal_watermark() >= before.
+  /// sorted by (start, tuple, seal order). Only final once
+  /// seal_watermark() >= before.
   std::vector<FlowRecord> drain_sealed(Timestamp before);
 
   /// Timestamp of the first packet released from the reorder stage (origin
@@ -135,10 +137,6 @@ class StreamingFlowAssembler {
   [[nodiscard]] std::optional<Timestamp> first_release() const {
     return first_release_;
   }
-  /// Max effective timestamp that has entered the reorder stage — the
-  /// stream clock.
-  [[nodiscard]] Timestamp stream_time() const { return max_seen_; }
-
   [[nodiscard]] const StreamingAssemblerStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t open_flows() const { return open_.size(); }
   /// Sealed flows awaiting drain_sealed().
@@ -168,6 +166,10 @@ class StreamingFlowAssembler {
     FlowRecord rec;
     std::list<FiveTuple>::iterator lru;
   };
+  struct SealedFlow {
+    std::uint64_t seq = 0;  ///< seal order, which checkpoints record
+    FlowRecord rec;
+  };
 
   void accept(const Packet& p);                 // clamp stage
   void enqueue(Packet p, Timestamp eff);        // into reorder stage
@@ -176,6 +178,7 @@ class StreamingFlowAssembler {
   void release(const Packet& p, Timestamp eff); // flow update
   void seal(std::unordered_map<FiveTuple, OpenFlow, FiveTupleHash>::iterator
                 it);
+  void push_sealed(FlowRecord rec);
   void sweep_idle(Timestamp now);
   void enforce_caps();
   void note_peaks();
@@ -207,7 +210,11 @@ class StreamingFlowAssembler {
   std::multiset<Timestamp> open_starts_;     ///< min blocks the watermark
   std::size_t open_packets_ = 0;             ///< packets held by open flows
 
-  std::vector<FlowRecord> sealed_;
+  /// Sealed flows in drain order, (start, tuple) then seal order, so a
+  /// drain pops a prefix: a hold-all backlog drained window by window costs
+  /// O(flows drained), not a pass over every pending flow.
+  std::deque<SealedFlow> sealed_;
+  std::uint64_t next_seal_seq_ = 0;
   bool finished_ = false;
 
   StreamingAssemblerStats stats_;
@@ -233,6 +240,13 @@ struct StreamingAssemblerState {
   bool finished = false;
   StreamingAssemblerStats stats;
 };
+
+/// Reports one whole-capture assembly: the `flow.assembler` heartbeat, its
+/// degradation reasons (clamped timestamps, unresolved destinations) and the
+/// `flow.*` / `ingest.*` counters. FlowAssembler::assemble calls it; so does
+/// any caller that drives the streaming core over a whole capture and wants
+/// the same account.
+void report_assembly(const StreamingAssemblerStats& stats);
 
 /// Assembles a capture into flow records.
 ///

@@ -50,11 +50,7 @@ class Value {
   explicit Value(Array a) : kind_(Kind::kArray), arr_(std::move(a)) {}
   explicit Value(Object o) : kind_(Kind::kObject), obj_(std::move(o)) {}
 
-  [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
-  [[nodiscard]] bool is_number() const { return kind_ == Kind::kNumber; }
-  [[nodiscard]] bool is_string() const { return kind_ == Kind::kString; }
-  [[nodiscard]] bool is_array() const { return kind_ == Kind::kArray; }
   [[nodiscard]] bool is_object() const { return kind_ == Kind::kObject; }
 
   /// Typed accessors; throw std::runtime_error on kind mismatch so malformed

@@ -73,9 +73,6 @@ class TelemetryServer {
   }
   /// Actual bound port (resolves an ephemeral request); 0 before start().
   [[nodiscard]] std::uint16_t port() const { return port_; }
-  [[nodiscard]] std::uint64_t requests_served() const {
-    return requests_.load(std::memory_order_relaxed);
-  }
 
   /// Publishes the host command's /statusz contribution: a JSON object
   /// string, served verbatim under "watch" until the next publish.

@@ -19,7 +19,6 @@ struct Tracer::Buffer {
   std::string label;
   std::vector<TraceEvent> ring;
   std::atomic<std::uint64_t> head{0};  ///< total events ever written
-  std::uint64_t sample_tick = 0;       ///< instant/counter sampling state
 };
 
 thread_local Tracer::Buffer* Tracer::tls_buffer_ = nullptr;
@@ -39,11 +38,9 @@ void Tracer::start(TraceOptions options) {
   std::lock_guard lock(mu_);
   options_ = options;
   if (options_.buffer_capacity == 0) options_.buffer_capacity = 1;
-  if (options_.sample_every == 0) options_.sample_every = 1;
   for (auto& b : buffers_) {
     b->ring.assign(options_.buffer_capacity, TraceEvent{});
     b->head.store(0, std::memory_order_relaxed);
-    b->sample_tick = 0;
   }
   t0_ = std::chrono::steady_clock::now();
   enabled_.store(true, std::memory_order_relaxed);
@@ -70,10 +67,6 @@ void Tracer::record(TraceEvent::Kind kind, std::string_view name,
                     double value) {
   if (!enabled()) return;
   Buffer& b = local_buffer();
-  if (kind == TraceEvent::Kind::kInstant ||
-      kind == TraceEvent::Kind::kCounter) {
-    if (++b.sample_tick % options_.sample_every != 0) return;
-  }
   const std::int64_t ts =
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - t0_)

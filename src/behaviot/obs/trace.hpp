@@ -18,9 +18,6 @@
 //  3. Bounded and lossy: when a ring wraps, the oldest events are
 //     overwritten and a per-thread drop counter advances. A trace is a
 //     window onto the run's tail, never an unbounded log.
-//  4. Sampled: `TraceOptions::sample_every` keeps 1 of every N instant and
-//     counter events per thread. Span begin/end pairs are never sampled —
-//     dropping one side of a pair would corrupt the flamegraph nesting.
 //
 // Quiescence contract: `snapshot()` and `start()`/`stop()` must not race
 // with in-flight recording. The CLI honors this by exporting after the
@@ -43,8 +40,6 @@ struct TraceOptions {
   /// ~4.5 MiB per recording thread — hours of orchestrator-level spans, a
   /// generous tail window for per-chunk worker events.
   std::size_t buffer_capacity = 1 << 16;
-  /// Keep 1 of every N instant/counter events per thread (1 = keep all).
-  std::size_t sample_every = 1;
 };
 
 /// Event-name slot size (bytes, including the terminator); longer names are

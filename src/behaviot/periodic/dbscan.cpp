@@ -195,34 +195,6 @@ void PointGrid::query(std::span<const double> data,
   std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
 }
 
-std::size_t PointGrid::count_within(std::span<const double> data,
-                                    std::span<const double> query) const {
-  const double eps_sq = eps_ * eps_;
-  std::size_t count = 0;
-  visit_adjacent(query, [&](std::uint32_t idx) {
-    const double* row = data.data() + idx * dim_;
-    if (simd::squared_distance(row, query.data(), dim_) <= eps_sq) ++count;
-    return true;
-  });
-  return count;
-}
-
-std::size_t PointGrid::count_at_least(std::span<const double> data,
-                                      std::span<const double> query,
-                                      std::size_t k) const {
-  if (k == 0) return 0;
-  const double eps_sq = eps_ * eps_;
-  std::size_t count = 0;
-  visit_adjacent(query, [&](std::uint32_t idx) {
-    const double* row = data.data() + idx * dim_;
-    if (simd::squared_distance(row, query.data(), dim_) <= eps_sq) {
-      if (++count >= k) return false;  // threshold reached — stop
-    }
-    return true;
-  });
-  return count;
-}
-
 bool PointGrid::any_within(std::span<const double> data,
                            std::span<const double> query) const {
   const double eps_sq = eps_ * eps_;

@@ -69,19 +69,6 @@ class PointGrid {
   void query(std::span<const double> data, std::span<const double> query,
              std::vector<std::size_t>& out) const;
 
-  /// Number of rows within eps of `query` — the core-point density test,
-  /// without materializing the neighbor list.
-  [[nodiscard]] std::size_t count_within(std::span<const double> data,
-                                         std::span<const double> query) const;
-
-  /// Like count_within but stops counting at `k` (returns min(k, count)).
-  /// The DBSCAN core test only asks "are there at least min_points?", and
-  /// min_points is small — in dense data this is O(1) where the full count
-  /// is O(cluster size).
-  [[nodiscard]] std::size_t count_at_least(std::span<const double> data,
-                                           std::span<const double> query,
-                                           std::size_t k) const;
-
   /// True when any row lies within eps of `query` (early-exits on the
   /// first hit; hit order does not affect the answer).
   [[nodiscard]] bool any_within(std::span<const double> data,

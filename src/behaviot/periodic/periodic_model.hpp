@@ -120,13 +120,6 @@ class PeriodicModelSet {
                                          const FeatureVector& features,
                                          std::vector<double>& scratch) const;
 
-  /// True when the device has a fitted scaler + density-cluster stage.
-  /// False for deserialized sets and for devices whose cluster fit was
-  /// quarantined during inference — those classify timer-only (degraded).
-  [[nodiscard]] bool has_cluster_stage(DeviceId device) const {
-    return scalers_.count(device) > 0 && clusters_.count(device) > 0;
-  }
-
   /// Provenance query (not a hot path): the nearest trained density cluster
   /// for a flow's features and the distance to its closest core point.
   /// `std::nullopt` when the device has no fitted cluster stage (e.g. a

@@ -324,6 +324,39 @@ TEST(StreamingFlowAssembler, SealWatermarkClosesWindowsIncrementally) {
   EXPECT_EQ(core.first_release(), Timestamp(0));
 }
 
+TEST(StreamingFlowAssembler, DrainsByStartWhileCheckpointsKeepSealOrder) {
+  // Port 40000 sends every 0.5 s from 0 s to 10 s; port 40001 sends once at
+  // 1 s, so its flow seals first although it starts later.
+  std::vector<Packet> packets;
+  for (int i = 0; i <= 20; ++i) {
+    packets.push_back(packet_at(static_cast<std::int64_t>(i) * 500'000));
+    if (i == 2) packets.push_back(packet_at(1'000'000, 40001));
+  }
+  DomainResolver resolver;
+  StreamingFlowAssembler core({}, resolver);
+  core.feed(packets);
+  core.finish();
+  const auto ports = [](const std::vector<FlowRecord>& flows) {
+    std::vector<std::uint16_t> out;
+    for (const FlowRecord& f : flows) out.push_back(f.tuple.src.port);
+    return out;
+  };
+  const std::vector<std::uint16_t> seal_order{40001, 40000};
+  EXPECT_EQ(ports(core.export_state().sealed), seal_order);
+  DomainResolver restored_resolver;
+  StreamingFlowAssembler restored({}, restored_resolver);
+  restored.import_state(core.export_state());
+  EXPECT_EQ(ports(restored.export_state().sealed), seal_order);
+
+  // The drain takes by start: the flow sealed last goes first.
+  const auto first = core.drain_sealed(Timestamp(500'000));
+  EXPECT_EQ(ports(first), std::vector<std::uint16_t>{40000});
+  EXPECT_EQ(ports(core.export_state().sealed),
+            std::vector<std::uint16_t>{40001});
+  EXPECT_EQ(ports(core.drain_sealed(kDrainAll)),
+            std::vector<std::uint16_t>{40001});
+}
+
 TEST(FlowRecord, TotalBytesAndDuration) {
   FlowRecord f;
   f.start = Timestamp(0);

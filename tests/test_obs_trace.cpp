@@ -101,28 +101,6 @@ TEST_F(TraceTest, RingWrapKeepsNewestAndCountsDrops) {
   }
 }
 
-TEST_F(TraceTest, SamplingThinsInstantsButNeverSpans) {
-  obs::Tracer::global().start({.sample_every = 4});
-  for (int i = 0; i < 16; ++i) obs::Tracer::global().instant("tick");
-  for (int i = 0; i < 5; ++i) {
-    obs::Tracer::global().span_begin("s");
-    obs::Tracer::global().span_end("s");
-  }
-  obs::Tracer::global().stop();
-
-  const auto snap = obs::Tracer::global().snapshot();
-  std::size_t instants = 0;
-  std::size_t spans = 0;
-  for (const auto& t : snap.threads) {
-    for (const auto& e : t.events) {
-      instants += e.kind == obs::TraceEvent::Kind::kInstant ? 1 : 0;
-      spans += e.kind != obs::TraceEvent::Kind::kInstant ? 1 : 0;
-    }
-  }
-  EXPECT_EQ(instants, 4u);  // 1 in 4 of 16
-  EXPECT_EQ(spans, 10u);    // every begin/end pair survives
-}
-
 TEST_F(TraceTest, LongNamesTruncateInsteadOfAllocating) {
   obs::Tracer::global().start();
   const std::string name(200, 'x');

@@ -596,12 +596,6 @@ TEST(SerializeBinary, ViewMatchesMaterializedLoad) {
     EXPECT_EQ(owned.secondary_periods, m->secondary_periods);
   }
 
-  const auto t = view.thresholds();
-  ASSERT_TRUE(t.has_value());
-  EXPECT_DOUBLE_EQ(t->periodic, models.thresholds.periodic);
-  EXPECT_DOUBLE_EQ(t->long_term_z, models.thresholds.long_term_z);
-  EXPECT_DOUBLE_EQ(t->short_term_mean, models.short_term.mean);
-
   EXPECT_TRUE(view.has_section(kSectionForests));
   EXPECT_FALSE(view.has_section(99));
 }

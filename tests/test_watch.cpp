@@ -18,8 +18,8 @@
 namespace behaviot {
 namespace {
 
-/// The batch reference: assemble everything, then score the same window grid
-/// `score --window-s` walks.
+/// An independent batch reference: assemble everything, then score the
+/// engine's window grid in a plain loop over all flows.
 std::vector<DeviationAlert> batch_score(const BehaviorModelSet& models,
                                         const std::vector<Packet>& packets,
                                         std::int64_t window_us,

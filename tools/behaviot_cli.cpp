@@ -18,15 +18,19 @@
 //   behaviot score --models models.bbm --capture day.pcap
 //       Evaluate a capture against saved models and print periodic
 //       deviation alerts. With --window-s W the capture is scored in
-//       successive W-second windows instead of the prime/score half-split.
+//       successive W-second windows instead of the prime/score half-split:
+//       the watch engine (core/watch_engine.hpp) runs over the whole
+//       capture in one call, so every flow is resolved with every DNS/SNI
+//       binding in the file.
 //
 //   behaviot watch --models models.bbm --capture day.pcap --window-s W
 //       Streaming daemon: read the capture incrementally (tail it as it
 //       grows with --follow 1), assemble flows with bounded memory, score
 //       each W-second deviation window as it closes, and optionally
 //       retrain + hot-swap models every N windows (--retrain-every N).
-//       On a finite capture whose DNS/SNI bindings precede their flows the
-//       alerts are identical to `score --window-s W` (DESIGN.md §5h).
+//       It reads 1024-packet chunks and resolves each flow with the DNS
+//       seen so far, so where a binding follows its flow in the capture
+//       its alerts can differ from `score --window-s W` (DESIGN.md §5h).
 //       --max-windows / --until-s bound the run deterministically; --alerts
 //       is rewritten after every window. The daemon is
 //       core/watch_daemon.hpp; this command is its flag front end.
@@ -77,7 +81,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 
@@ -88,6 +91,7 @@
 #include "behaviot/core/serialize.hpp"
 #include "behaviot/core/serialize_binary.hpp"
 #include "behaviot/core/watch_daemon.hpp"
+#include "behaviot/core/watch_engine.hpp"
 #include "behaviot/deviation/monitor.hpp"
 #include "behaviot/net/pcap.hpp"
 #include "behaviot/obs/export.hpp"
@@ -293,6 +297,19 @@ std::uint64_t parse_count(const std::map<std::string, std::string>& flags,
   return parse_count_value(name, it->second);
 }
 
+/// Millisecond count held in a `long`. A value above LONG_MAX would wrap
+/// negative, and a negative poll interval makes the follow loop spin
+/// without sleeping.
+long parse_millis(const std::map<std::string, std::string>& flags,
+                  const char* name, long fallback) {
+  const std::uint64_t ms =
+      parse_count(flags, name, static_cast<std::uint64_t>(fallback));
+  if (ms > static_cast<std::uint64_t>(std::numeric_limits<long>::max())) {
+    reject_flag(name, flags.at(name), "a non-negative integer below 2^63");
+  }
+  return static_cast<long>(ms);
+}
+
 /// Finite floating-point value bounded below. The std::stod calls this
 /// replaces accepted "nan" (which then disabled every comparison downstream)
 /// and threw std::out_of_range on "1e999" — surfacing as a generic exit-1
@@ -481,49 +498,45 @@ int cmd_score(const std::map<std::string, std::string>& flags) {
   }
   // Validate numeric flags before any file I/O: a typo'd --window-s is a
   // usage error (exit 2) even when the model file also happens to be absent.
-  const std::optional<std::int64_t> window_us =
-      flags.count("window-s")
-          ? std::optional<std::int64_t>(
-                seconds(parse_positive(flags, "window-s", 1.0)))
-          : std::nullopt;
-  const BehaviorModelSet models =
+  const bool windowed = flags.count("window-s") > 0;
+  const std::int64_t window_us =
+      seconds(parse_positive(flags, "window-s", 1.0));
+  BehaviorModelSet models =
       load_models_file_reporting(flags.at("models"), parse_policy(flags));
   const auto packets = load_capture(flags.at("capture"), parse_policy(flags));
   if (packets.empty()) {
     std::fprintf(stderr, "empty capture\n");
     return 1;
   }
-  DomainResolver resolver = testbed::gateway_resolver();
-  FlowAssembler assembler;
-  const auto flows = assembler.assemble(packets, resolver);
 
-  DeviationMonitor monitor(models.periodic, models.pfsm, models.short_term);
   std::vector<DeviationAlert> alerts;
-  if (window_us) {
-    // Windowed scoring: evaluate successive W-second windows over the whole
-    // capture. This is the grid `behaviot watch` streams over; the two
-    // commands emit identical alerts where DNS/SNI bindings precede their
-    // flows (DESIGN.md §5h).
-    const Timestamp t0 = flows.front().start;
-    const Timestamp end = flows.back().end + seconds(1.0);
-    std::size_t windows = 0;
-    for (Timestamp ws = t0; ws < end; ws = ws + *window_us) {
-      const Timestamp we = ws + *window_us;
-      std::vector<FlowRecord> in_window;
-      for (const FlowRecord& f : flows) {
-        if (f.start >= ws && f.start < we) in_window.push_back(f);
-      }
-      auto batch = monitor.evaluate_window(ws, we, in_window, {});
-      alerts.insert(alerts.end(), std::make_move_iterator(batch.begin()),
-                    std::make_move_iterator(batch.end()));
-      ++windows;
-    }
-    std::printf("%zu flows, %zu deviation alerts in %zu windows\n",
-                flows.size(), alerts.size(), windows);
+  if (windowed) {
+    // The watch engine over the whole capture in one ingest() call. The
+    // hold-all horizon releases nothing before finish(), so every flow is
+    // resolved with every binding in the capture.
+    WatchOptions options;
+    options.window_us = window_us;
+    options.assembler.reorder_horizon_us =
+        std::numeric_limits<std::int64_t>::max();
+    ModelHandle handle(std::move(models));
+    WatchEngine engine(handle, testbed::gateway_resolver(), options);
+    std::size_t flows = 0;
+    engine.set_window_sink([&](const WatchWindowReport& r) {
+      flows += r.flows;
+      alerts.insert(alerts.end(), r.alerts.begin(), r.alerts.end());
+    });
+    engine.ingest(packets);
+    engine.finish();
+    report_assembly(engine.assembler_stats());
+    std::printf("%zu flows, %zu deviation alerts in %zu windows\n", flows,
+                alerts.size(), engine.windows_evaluated());
   } else {
     // Two passes: the first primes the timers, the second scores. A gateway
     // deployment would stream windows (see `behaviot watch`); for a one-shot
     // file we split in half.
+    DomainResolver resolver = testbed::gateway_resolver();
+    const auto flows = FlowAssembler().assemble(packets, resolver);
+    DeviationMonitor monitor(models.periodic, models.pfsm, models.short_term);
     const Timestamp start = flows.front().start;
     const Timestamp end = flows.back().end + seconds(1.0);
     const Timestamp mid((start.micros() + end.micros()) / 2);
@@ -588,9 +601,9 @@ int cmd_watch(const std::map<std::string, std::string>& flags) {
       parse_non_negative(flags, "retrain-timeout-s", e.retrain_timeout_s);
   o.parse = parse_policy(flags);
   o.follow = flags.count("follow") && flags.at("follow") != "0";
-  o.poll_ms = static_cast<long>(parse_count(flags, "poll-ms", 200));
-  o.reopen_backoff_max_ms = static_cast<long>(std::max<std::uint64_t>(
-      1, parse_count(flags, "reopen-backoff-max-ms", 5000)));
+  o.poll_ms = parse_millis(flags, "poll-ms", 200);
+  o.reopen_backoff_max_ms =
+      std::max(1L, parse_millis(flags, "reopen-backoff-max-ms", 5000));
   o.alerts_path = flag_value(flags, "alerts");
   o.metrics_path = flag_value(flags, "metrics");
   o.trace_path = flag_value(flags, "trace");
