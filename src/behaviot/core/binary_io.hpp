@@ -123,10 +123,11 @@ class Cursor {
   [[noreturn]] void fail(const std::string& why) const {
     fail_at(offset(), why);
   }
+  /// fail() at an absolute file offset already passed.
+  [[noreturn]] void fail_at(std::size_t at, const std::string& why) const;
 
  private:
   void need(std::size_t n, const char* what);
-  [[noreturn]] void fail_at(std::size_t at, const std::string& why) const;
 
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;

@@ -133,6 +133,12 @@ BehaviorModelSet load_models_file_reporting(const std::string& path,
                  " offending byte)\n",
                  path.c_str(), stats.sections_dropped);
   }
+  if (stats.models_dropped > 0) {
+    std::fprintf(stderr,
+                 "warning: %s names a periodic group twice — %zu repeated"
+                 " model(s) dropped by the lenient load\n",
+                 path.c_str(), stats.models_dropped);
+  }
   return models;
 }
 

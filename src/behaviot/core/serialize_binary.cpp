@@ -1,12 +1,15 @@
 #include "behaviot/core/serialize_binary.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <system_error>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -158,15 +161,57 @@ PeriodicModelView read_periodic_model_view(Cursor& c) {
   return v;
 }
 
-void read_periodic(Cursor& c, BehaviorModelSet& models) {
+/// Indices of the records that repeat an earlier record's (device, group)
+/// key, in file order.
+std::vector<std::size_t> repeated_keys(const std::vector<PeriodicModel>& ms) {
+  std::vector<std::size_t> order(ms.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&ms](std::size_t a, std::size_t b) {
+    return std::tie(ms[a].device, ms[a].group, a) <
+           std::tie(ms[b].device, ms[b].group, b);
+  });
+  std::vector<std::size_t> repeats;
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    const PeriodicModel& prev = ms[order[k - 1]];
+    const PeriodicModel& m = ms[order[k]];
+    if (m.device == prev.device && m.group == prev.group) {
+      repeats.push_back(order[k]);
+    }
+  }
+  std::sort(repeats.begin(), repeats.end());
+  return repeats;
+}
+
+void read_periodic(Cursor& c, BehaviorModelSet& models, ParsePolicy policy,
+                   ParseStats* stats) {
   // Fixed part per model: u32 + u8 + 2×u64 + 3×f64 + 2×(u32 len) + u64.
   const std::size_t n = c.count("periodic model count", 61);
   std::vector<PeriodicModel> periodic;
+  std::vector<std::size_t> offsets;  // each record's absolute offset
   periodic.reserve(n);
+  offsets.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
+    offsets.push_back(c.offset());
     periodic.push_back(read_periodic_model_view(c).materialize());
   }
   if (!c.at_end()) c.fail("trailing bytes after periodic models");
+  // A set that names one (device, group) twice has no meaning: lookups see
+  // only the first model. Strict refuses the repeat; lenient keeps the
+  // first and drops the rest.
+  const std::vector<std::size_t> repeats = repeated_keys(periodic);
+  if (!repeats.empty()) {
+    const PeriodicModel& m = periodic[repeats.front()];
+    if (policy == ParsePolicy::kStrict) {
+      c.fail_at(offsets[repeats.front()],
+                "periodic model repeats (device " + std::to_string(m.device) +
+                    ", group " + m.group + ")");
+    }
+    for (auto it = repeats.rbegin(); it != repeats.rend(); ++it) {
+      periodic.erase(periodic.begin() + static_cast<std::ptrdiff_t>(*it));
+    }
+    if (stats != nullptr) stats->models_dropped += repeats.size();
+    obs::counter("ingest.models_dropped").add(repeats.size());
+  }
   models.periodic = PeriodicModelSet::from_models(std::move(periodic));
 }
 
@@ -369,7 +414,7 @@ BehaviorModelSet load_models_binary(std::span<const std::uint8_t> bytes,
     try {
       switch (entry.id) {
         case kSectionPeriodic:
-          read_periodic(c, models);
+          read_periodic(c, models, policy, stats);
           break;
         case kSectionPfsm: {
           // A half-parsed PFSM (states added, then a bad transition) must

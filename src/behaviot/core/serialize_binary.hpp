@@ -52,10 +52,12 @@
 // SerializationError in either policy, with the absolute byte offset of the
 // damage. After the header, kStrict throws at the first malformed section;
 // kLenient drops the damaged section (counted in stats->sections_dropped)
-// and uses the section table to continue with the next section. Every
-// count is capped against the bytes remaining in its section before any
-// reserve(), so a corrupt count can never drive an allocation larger than
-// the input.
+// and uses the section table to continue with the next section. A periodic
+// record that repeats an earlier record's (device, group) is refused by
+// kStrict at its offset; kLenient drops that record alone (counted in
+// stats->models_dropped). Every count is capped against the bytes remaining
+// in its section before any reserve(), so a corrupt count can never drive
+// an allocation larger than the input.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
+#include <map>
 
 #include "behaviot/flow/features.hpp"
 #include "behaviot/obs/health.hpp"
@@ -31,8 +31,9 @@ DeviationMonitor::DeviationMonitor(const PeriodicModelSet& periodic,
       options_(options) {}
 
 void DeviationMonitor::reset() {
-  last_seen_.clear();
-  silence_reported_.clear();
+  keyed_for_ = kUnkeyed;
+  groups_.clear();
+  key_order_.clear();
   reported_sequences_.clear();
   primed_ = false;
 }
@@ -44,18 +45,55 @@ void DeviationMonitor::rebind(const PeriodicModelSet& periodic,
   pfsm_ = &pfsm;
   short_term_ = short_term;
   // Streaming state survives the swap on purpose: models that persist across
-  // a retrain keep their armed timers and silence episodes. State keyed by
-  // groups the new set no longer carries is purged at the next window start.
+  // a retrain keep their armed timers and silence episodes. The next window
+  // sees the new generation and re-keys.
+}
+
+void DeviationMonitor::rekey() {
+  static auto& purged_counter = obs::counter("deviation.stale_keys_purged");
+  // A timer inherited from a previous model era whose group the new set
+  // lacks would otherwise score a phantom multi-day silence the moment a
+  // same-named model reappears, so those entries are dropped.
+  const std::vector<PeriodicModel>& models = periodic_->all();
+  std::vector<GroupState> next(models.size());
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    next[i].key = {models[i].device, models[i].group};
+  }
+  std::size_t purged = 0;
+  for (GroupState& old : groups_) {
+    if (!old.armed && !old.silenced) continue;
+    const PeriodicModel* m = periodic_->find(old.key.first, old.key.second);
+    if (m == nullptr) {
+      purged += static_cast<std::size_t>(old.armed) +
+                static_cast<std::size_t>(old.silenced);
+      continue;
+    }
+    GroupState& g = next[static_cast<std::size_t>(m - models.data())];
+    g.last_seen = old.last_seen;
+    g.armed = old.armed;
+    g.silenced = old.silenced;
+  }
+  if (purged > 0) purged_counter.add(purged);
+  groups_ = std::move(next);
+  key_order_.resize(groups_.size());
+  for (std::size_t i = 0; i < key_order_.size(); ++i) {
+    key_order_[i] = static_cast<std::uint32_t>(i);
+  }
+  std::sort(key_order_.begin(), key_order_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return groups_[a].key < groups_[b].key;
+            });
+  keyed_for_ = periodic_->generation();
 }
 
 std::vector<DeviationAlert> DeviationMonitor::evaluate_window(
     Timestamp window_start, Timestamp window_end,
     std::span<const FlowRecord> flows, std::span<const EventTrace> traces) {
   static auto& windows_counter = obs::counter("deviation.windows");
-  static auto& purged_counter = obs::counter("deviation.stale_keys_purged");
   windows_counter.inc();
   obs::health().heartbeat("deviation.monitor");
   obs::trace_instant("deviation.window");
+  if (periodic_->generation() != keyed_for_) rekey();
 
   // Count-up timers assume time moves forward. Regressed capture clocks can
   // hand us an occurrence earlier than the armed timer (or a window ending
@@ -71,49 +109,29 @@ std::vector<DeviationAlert> DeviationMonitor::evaluate_window(
     return static_cast<double>(later - earlier) / 1e6;
   };
 
-  // Purge streaming state keyed by (device, group) pairs that no longer
-  // exist in the model set: retraining may drop or replace models, and a
-  // timer inherited from a previous model era would otherwise score a
-  // phantom multi-day silence the moment a same-named model reappears.
-  if (!last_seen_.empty() || !silence_reported_.empty()) {
-    std::set<std::pair<DeviceId, std::string>> live;
-    for (const PeriodicModel& m : periodic_->all()) {
-      live.emplace(m.device, m.group);
-    }
-    const auto stale = [&live](const auto& key) {
-      return live.count(key) == 0;
-    };
-    std::size_t purged = 0;
-    purged += std::erase_if(last_seen_, [&](const auto& kv) {
-      return stale(kv.first);
-    });
-    purged += std::erase_if(silence_reported_, stale);
-    if (purged > 0) purged_counter.add(purged);
-  }
-
   std::vector<DeviationAlert> alerts;
 
   // ---- Periodic-event deviation (per-device metric) ----
-  // Collect window occurrences per modeled group. The flow pointer rides
-  // along so the worst deviation's flow can be located against the trained
-  // density clusters for the alert's provenance record.
-  struct Occurrence {
-    Timestamp at;
-    const FlowRecord* flow = nullptr;
-  };
-  std::map<std::pair<DeviceId, std::string>, std::vector<Occurrence>> occur;
-  for (const FlowRecord& f : flows) {
-    const std::string group = f.group_key();
-    if (periodic_->find(f.device, group) != nullptr) {
-      occur[{f.device, group}].push_back({f.start, &f});
+  // The window's occurrences of modeled groups, ordered by (slot, time,
+  // input index): per group, time order with ties in input order. The flow
+  // index rides along so the worst deviation's flow can be located against
+  // the trained density clusters for the alert's provenance record.
+  const std::vector<PeriodicModel>& models = periodic_->all();
+  occurrences_.clear();
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const FlowRecord& f = flows[i];
+    f.group_key_into(group_buf_);
+    if (const PeriodicModel* m = periodic_->find(f.device, group_buf_)) {
+      occurrences_.push_back({static_cast<std::uint32_t>(m - models.data()),
+                              f.start, static_cast<std::uint32_t>(i)});
     }
   }
-  for (auto& [key, times] : occur) {
-    std::stable_sort(times.begin(), times.end(),
-                     [](const Occurrence& a, const Occurrence& b) {
-                       return a.at < b.at;
-                     });
-  }
+  std::sort(occurrences_.begin(), occurrences_.end(),
+            [](const Occurrence& a, const Occurrence& b) {
+              if (a.slot != b.slot) return a.slot < b.slot;
+              if (a.at != b.at) return a.at < b.at;
+              return a.flow < b.flow;
+            });
 
   // Each device's worst-scoring deviating group and how many of its groups
   // deviated. The model loop only records the winner; the one periodic alert
@@ -128,25 +146,30 @@ std::vector<DeviationAlert> DeviationMonitor::evaluate_window(
   };
   std::map<DeviceId, DeviceWorst> device_worst;
 
-  for (const PeriodicModel& model : periodic_->all()) {
-    const std::pair<DeviceId, std::string> key{model.device, model.group};
+  std::size_t next_occurrence = 0;
+  for (std::size_t slot = 0; slot < models.size(); ++slot) {
+    const PeriodicModel& model = models[slot];
+    GroupState& group = groups_[slot];
     const double T = model.period_seconds;
     double worst = 0.0;
     double worst_elapsed = 0.0;
     Timestamp worst_at = window_end;
     const FlowRecord* worst_flow = nullptr;
 
-    auto it = occur.find(key);
-    auto last_it = last_seen_.find(key);
-    Timestamp last = last_it != last_seen_.end() ? last_it->second
-                                                 : window_start;
-    const bool had_history = last_it != last_seen_.end() || primed_;
+    const std::size_t first = next_occurrence;
+    while (next_occurrence < occurrences_.size() &&
+           occurrences_[next_occurrence].slot == slot) {
+      ++next_occurrence;
+    }
+    const bool seen = next_occurrence > first;
+    Timestamp last = group.armed ? group.last_seen : window_start;
+    const bool had_history = group.armed || primed_;
 
-    if (it != occur.end()) {
-      silence_reported_.erase(key);  // traffic resumed: new episode may alert
-      for (std::size_t oi = 0; oi < it->second.size(); ++oi) {
-        const Occurrence& o = it->second[oi];
-        if (!had_history && oi == 0) {
+    if (seen) {
+      group.silenced = false;  // traffic resumed: new episode may alert
+      for (std::size_t oi = first; oi < next_occurrence; ++oi) {
+        const Occurrence& o = occurrences_[oi];
+        if (!had_history && oi == first) {
           last = o.at;
           continue;  // first sighting ever: arm the timer silently
         }
@@ -156,24 +179,25 @@ std::vector<DeviationAlert> DeviationMonitor::evaluate_window(
           worst = m;
           worst_elapsed = elapsed;
           worst_at = o.at;
-          worst_flow = o.flow;
+          worst_flow = &flows[o.flow];
         }
         last = o.at;
       }
-      last_seen_[key] = it->second.back().at;
+      group.last_seen = occurrences_[next_occurrence - 1].at;
+      group.armed = true;
     }
     // Count-up timer at window end: silence since the last occurrence. A
     // continuing silence is one deviation, not one per window.
-    if (had_history || it != occur.end()) {
+    if (had_history || seen) {
       const double elapsed = elapsed_or_zero(window_end, last);
       const double m = periodic_deviation(elapsed, T);
-      if (silence_reported_.count(key) == 0) {
+      if (!group.silenced) {
         if (m > worst && m > options_.thresholds.periodic) {
           worst = m;
           worst_elapsed = elapsed;
           worst_at = window_end;
           worst_flow = nullptr;  // a silence has no flow to locate
-          silence_reported_.insert(key);
+          group.silenced = true;
         }
       } else if (m > options_.thresholds.periodic) {
         static auto& suppressed =
@@ -308,7 +332,7 @@ std::vector<DeviationAlert> DeviationMonitor::evaluate_window(
   }
 
   if (nonmonotonic > 0) {
-    obs::counter("deviation.nonmonotonic_windows").add(nonmonotonic);
+    obs::counter("deviation.nonmonotonic_windows").inc();
     obs::health().degrade(
         "deviation.monitor",
         "nonmonotonic-window:" + std::to_string(nonmonotonic));
@@ -343,12 +367,13 @@ std::vector<DeviationAlert> DeviationMonitor::evaluate_window(
 
 DeviationMonitorState DeviationMonitor::export_state() const {
   DeviationMonitorState s;
-  s.last_seen.reserve(last_seen_.size());
-  for (const auto& [key, ts] : last_seen_) {
-    s.last_seen.emplace_back(key.first, key.second, ts);
+  for (const std::uint32_t i : key_order_) {
+    const GroupState& g = groups_[i];
+    if (g.armed) {
+      s.last_seen.emplace_back(g.key.first, g.key.second, g.last_seen);
+    }
+    if (g.silenced) s.silence_reported.push_back(g.key);
   }
-  s.silence_reported.assign(silence_reported_.begin(),
-                            silence_reported_.end());
   s.reported_sequences.assign(reported_sequences_.begin(),
                               reported_sequences_.end());
   s.primed = primed_;
@@ -356,13 +381,24 @@ DeviationMonitorState DeviationMonitor::export_state() const {
 }
 
 void DeviationMonitor::import_state(const DeviationMonitorState& state) {
-  last_seen_.clear();
+  // Keyed by the imported keys themselves until the next window re-keys
+  // them onto the bound set, as the parent of a checkpoint would have.
+  std::map<std::pair<DeviceId, std::string>, GroupState> by_key;
   for (const auto& [device, group, ts] : state.last_seen) {
-    last_seen_.emplace(std::make_pair(device, group), ts);
+    GroupState& g = by_key[{device, group}];
+    if (g.armed) continue;  // the first of duplicate keys wins
+    g.last_seen = ts;
+    g.armed = true;
   }
-  silence_reported_.clear();
-  silence_reported_.insert(state.silence_reported.begin(),
-                           state.silence_reported.end());
+  for (const auto& key : state.silence_reported) by_key[key].silenced = true;
+  groups_.clear();
+  key_order_.clear();
+  for (auto& [key, g] : by_key) {
+    g.key = key;
+    key_order_.push_back(static_cast<std::uint32_t>(groups_.size()));
+    groups_.push_back(std::move(g));
+  }
+  keyed_for_ = kUnkeyed;
   reported_sequences_.clear();
   reported_sequences_.insert(state.reported_sequences.begin(),
                              state.reported_sequences.end());

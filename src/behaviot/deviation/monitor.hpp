@@ -3,7 +3,7 @@
 // reproducing the §6.2 longitudinal analysis.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <set>
 #include <span>
 #include <string>
@@ -73,8 +73,11 @@ struct MonitorOptions {
 
 /// Serializable streaming state of a DeviationMonitor (checkpointing):
 /// armed count-up timers, ongoing silence episodes, cross-window trace
-/// dedup, and the first-sighting priming flag. Entries are in the ordered
-/// containers' iteration order, so export is deterministic.
+/// dedup, and the first-sighting priming flag. Timers and silence episodes
+/// are keyed by (device, group) strings, not by model slot, and export
+/// lists them in (device, group) order and the sequences in string order,
+/// so the state is deterministic and independent of the model set's slot
+/// order.
 struct DeviationMonitorState {
   std::vector<std::tuple<DeviceId, std::string, Timestamp>> last_seen;
   std::vector<std::pair<DeviceId, std::string>> silence_reported;
@@ -112,33 +115,65 @@ class DeviationMonitor {
 
   /// Points the monitor at a new model generation (hot model swap in
   /// `behaviot watch`). Streaming state — armed timers, silence episodes,
-  /// reported sequences — is retained; entries keyed by groups absent from
-  /// the new set are purged at the next window start, exactly as reset-free
-  /// retraining behaves in the batch engine. The referents must outlive the
-  /// monitor (the watch engine keeps the owning generation alive until the
-  /// next swap completes).
+  /// reported sequences — is retained. The per-group state is re-keyed by
+  /// generation: the first window evaluated against a set whose
+  /// generation() differs from the one the state is keyed for moves each
+  /// (device, group) entry to that group's slot in the new set and drops
+  /// (and counts in `deviation.stale_keys_purged`) the entries of groups
+  /// the new set lacks. A set replaced in place without rebind() is
+  /// re-keyed the same way. The referents must outlive the monitor (the
+  /// watch engine keeps the owning generation alive until the next swap
+  /// completes).
   void rebind(const PeriodicModelSet& periodic, const Pfsm& pfsm,
               ShortTermThreshold short_term);
 
   /// Snapshot / restore of the streaming state (checkpointing). The model
   /// references are not part of the snapshot — rebind() or construction
-  /// against the restored generation precedes import_state().
+  /// against the restored generation precedes import_state(). Imported
+  /// entries stand as given (the first of duplicate keys wins) until the
+  /// next window re-keys them onto the bound set, which drops and counts
+  /// the groups it lacks; an export in between returns them unchanged.
   [[nodiscard]] DeviationMonitorState export_state() const;
   void import_state(const DeviationMonitorState& state);
 
  private:
+  /// Per-group streaming state, one entry per model slot of the generation
+  /// the monitor is keyed for.
+  struct GroupState {
+    std::pair<DeviceId, std::string> key;
+    Timestamp last_seen;   ///< count-up timer: the last occurrence
+    bool armed = false;    ///< `last_seen` holds an occurrence
+    /// This group's ongoing silence was already alerted; one alert per
+    /// silence episode (the paper counts deviation events, not silent days).
+    bool silenced = false;
+  };
+  /// One modeled flow of the window being evaluated.
+  struct Occurrence {
+    std::uint32_t slot;
+    Timestamp at;
+    std::uint32_t flow;  ///< index into the window's flows
+  };
+  static constexpr std::uint64_t kUnkeyed = ~std::uint64_t{0};
+
+  /// Moves `groups_` onto the bound set's slots (see rebind()).
+  void rekey();
+
   const PeriodicModelSet* periodic_;
   const Pfsm* pfsm_;
   ShortTermThreshold short_term_;
   MonitorOptions options_;
-  /// Count-up timers: last occurrence per (device, group).
-  std::map<std::pair<DeviceId, std::string>, Timestamp> last_seen_;
-  /// Groups whose ongoing silence was already alerted; one alert per
-  /// silence episode (the paper counts deviation events, not silent days).
-  std::set<std::pair<DeviceId, std::string>> silence_reported_;
+  /// Generation `groups_` is indexed by; kUnkeyed after construction,
+  /// reset() and import_state().
+  std::uint64_t keyed_for_ = kUnkeyed;
+  std::vector<GroupState> groups_;
+  /// Indices into `groups_` in (device, group) order, for export.
+  std::vector<std::uint32_t> key_order_;
   /// Novel trace signatures already alerted (cross-window dedup).
   std::set<std::string> reported_sequences_;
   bool primed_ = false;
+  /// Per-window scratch, kept so a warm window allocates nothing.
+  std::vector<Occurrence> occurrences_;
+  std::string group_buf_;
 };
 
 }  // namespace behaviot

@@ -51,6 +51,9 @@ struct FlowRecord {
   }
   /// Traffic-group key used by the periodic modeling: (domain, protocol).
   [[nodiscard]] std::string group_key() const;
+  /// group_key() written into `out`, replacing its contents. A caller that
+  /// reuses one buffer across flows allocates only when a key outgrows it.
+  void group_key_into(std::string& out) const;
 };
 
 }  // namespace behaviot

@@ -21,6 +21,7 @@ std::string ParseStats::summary() const {
   }
   if (snapped_payloads > 0) os << ", snapped payloads " << snapped_payloads;
   if (sections_dropped > 0) os << ", sections dropped " << sections_dropped;
+  if (models_dropped > 0) os << ", models dropped " << models_dropped;
   return os.str();
 }
 

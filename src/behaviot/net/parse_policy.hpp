@@ -35,7 +35,8 @@ class ParseError : public std::runtime_error {
 
 /// Counters a lenient parse accumulates instead of throwing. The pcap reader
 /// fills the record-level fields; DNS/TLS/model parsing only touches
-/// `malformed` / `sections_dropped`. All skip classes are disjoint.
+/// `malformed` / `sections_dropped` / `models_dropped`. All skip classes are
+/// disjoint.
 struct ParseStats {
   std::size_t records = 0;   ///< pcap record headers consumed
   std::size_t packets = 0;   ///< records parsed into Packets
@@ -48,6 +49,9 @@ struct ParseStats {
   std::size_t snapped_payloads = 0;
   /// Model-file sections dropped by a lenient load_models_binary.
   std::size_t sections_dropped = 0;
+  /// Periodic models a lenient load_models_binary dropped because an
+  /// earlier record names the same (device, group).
+  std::size_t models_dropped = 0;
 
   [[nodiscard]] std::size_t skipped() const {
     return non_ip + non_transport + malformed + truncated;

@@ -1,10 +1,12 @@
 #include "behaviot/periodic/periodic_model.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string_view>
 
 #include "behaviot/net/stats.hpp"
@@ -256,20 +258,30 @@ PeriodicModelSet PeriodicModelSet::from_models(
 }
 
 void PeriodicModelSet::rebuild_index() {
+  static std::atomic<std::uint64_t> last_generation{0};
   std::size_t cap = 8;
   while (cap < models_.size() * 2) cap <<= 1;
   slots_.assign(cap, 0);
   const std::size_t mask = cap - 1;
   for (std::size_t i = 0; i < models_.size(); ++i) {
-    std::size_t slot =
-        device_group_hash(models_[i].device, models_[i].group) & mask;
-    while (slots_[slot] != 0) slot = (slot + 1) & mask;
+    const PeriodicModel& m = models_[i];
+    std::size_t slot = device_group_hash(m.device, m.group) & mask;
+    while (slots_[slot] != 0) {
+      const PeriodicModel& other = models_[slots_[slot] - 1];
+      if (other.device == m.device && other.group == m.group) {
+        throw std::invalid_argument(
+            "periodic model set names (device " + std::to_string(m.device) +
+            ", group " + m.group + ") twice");
+      }
+      slot = (slot + 1) & mask;
+    }
     slots_[slot] = static_cast<std::uint32_t>(i + 1);
   }
+  generation_ = ++last_generation;
 }
 
 const PeriodicModel* PeriodicModelSet::find(DeviceId device,
-                                            const std::string& group) const {
+                                            std::string_view group) const {
   if (slots_.empty()) return nullptr;
   const std::size_t mask = slots_.size() - 1;
   std::size_t slot = device_group_hash(device, group) & mask;

@@ -8,6 +8,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -96,11 +97,16 @@ class PeriodicModelSet {
 
   /// Rebuilds a set from pre-computed models (deserialization, merging).
   /// The density-cluster stage is not populated — timer classification
-  /// only, until re-fitted on traffic.
+  /// only, until re-fitted on traffic. Throws std::invalid_argument when
+  /// two models share one (device, group) key: find() could return only
+  /// the first of them.
   static PeriodicModelSet from_models(std::vector<PeriodicModel> models);
 
+  /// The model for (device, group), or null. `group` is a view so a caller
+  /// can probe with a reused key buffer (FlowRecord::group_key_into)
+  /// without building a std::string per lookup.
   [[nodiscard]] const PeriodicModel* find(DeviceId device,
-                                          const std::string& group) const;
+                                          std::string_view group) const;
   [[nodiscard]] std::vector<const PeriodicModel*> models_for(
       DeviceId device) const;
   [[nodiscard]] const std::vector<PeriodicModel>& all() const {
@@ -108,6 +114,14 @@ class PeriodicModelSet {
   }
   [[nodiscard]] std::size_t size() const { return models_.size(); }
   [[nodiscard]] const PeriodicInferenceStats& stats() const { return stats_; }
+
+  /// Identity of this model list. Every infer() and from_models() draws a
+  /// fresh value from a process-wide counter; copies and moves keep it, and
+  /// it is never serialized. Two sets with the same generation therefore
+  /// hold the same models in the same slots (all() order), so a consumer
+  /// that keys state by slot re-keys only when the generation changes. A
+  /// default-constructed (empty) set has generation 0.
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
   /// True when `features` (already extracted from a flow of `device`) falls
   /// inside a periodic-traffic density cluster learned during inference.
@@ -128,8 +142,10 @@ class PeriodicModelSet {
       DeviceId device, const FeatureVector& features) const;
 
  private:
-  /// Rebuilds `slots_` from `models_`. Called once after the model list is
-  /// final (inference assembly, from_models); O(n) with a single allocation.
+  /// Rebuilds `slots_` from `models_` and draws a new generation. Called
+  /// once after the model list is final (inference assembly, from_models);
+  /// O(n) with a single allocation. Throws std::invalid_argument on a
+  /// duplicate (device, group) key.
   void rebuild_index();
 
   std::vector<PeriodicModel> models_;
@@ -143,6 +159,7 @@ class PeriodicModelSet {
   std::map<DeviceId, FeatureScaler> scalers_;
   std::map<DeviceId, DbscanMembership> clusters_;
   PeriodicInferenceStats stats_;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace behaviot

@@ -181,6 +181,14 @@ Catalog::Catalog() {
     d.binary_commands_aggregated = row.aggregated;
     devices_.push_back(std::move(d));
   }
+  by_ip_.reserve(devices_.size());
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    by_ip_.emplace_back(devices_[i].ip, i);
+  }
+  std::stable_sort(by_ip_.begin(), by_ip_.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
 }
 
 const Catalog& Catalog::standard() {
@@ -201,10 +209,13 @@ const DeviceInfo& Catalog::by_id(DeviceId id) const {
 }
 
 const DeviceInfo* Catalog::by_ip(Ipv4Addr ip) const {
-  for (const DeviceInfo& d : devices_) {
-    if (d.ip == ip) return &d;
-  }
-  return nullptr;
+  const auto it = std::lower_bound(
+      by_ip_.begin(), by_ip_.end(), ip,
+      [](const std::pair<Ipv4Addr, std::size_t>& e, Ipv4Addr key) {
+        return e.first < key;
+      });
+  if (it == by_ip_.end() || it->first != ip) return nullptr;
+  return &devices_[it->second];
 }
 
 std::vector<const DeviceInfo*> Catalog::in_category(DeviceCategory c) const {

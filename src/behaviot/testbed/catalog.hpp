@@ -9,6 +9,7 @@
 
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "behaviot/net/ip.hpp"
@@ -73,6 +74,10 @@ class Catalog {
  private:
   Catalog();
   std::vector<DeviceInfo> devices_;
+  /// (address, index into devices_) sorted by address, equal addresses in
+  /// catalog order, so by_ip() is a binary search that keeps first-match
+  /// semantics. Device annotation calls it once per packet.
+  std::vector<std::pair<Ipv4Addr, std::size_t>> by_ip_;
 };
 
 }  // namespace behaviot::testbed

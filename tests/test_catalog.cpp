@@ -49,6 +49,21 @@ TEST(Catalog, LookupByNameIdIp) {
   EXPECT_THROW((void)catalog().by_id(999), std::out_of_range);
 }
 
+TEST(Catalog, ByIpFindsEveryDeviceAndNoNeighbour) {
+  for (const DeviceInfo& d : catalog().devices()) {
+    EXPECT_EQ(catalog().by_ip(d.ip), &d) << d.name;
+    const Ipv4Addr below(d.ip.value() - 1);
+    const Ipv4Addr above(d.ip.value() + 1);
+    for (const Ipv4Addr ip : {below, above}) {
+      const DeviceInfo* found = catalog().by_ip(ip);
+      EXPECT_TRUE(found == nullptr || found->ip == ip) << d.name;
+    }
+  }
+  EXPECT_EQ(catalog().by_ip(Ipv4Addr(192, 168, 1, 9)), nullptr);
+  EXPECT_EQ(catalog().by_ip(Ipv4Addr(192, 168, 1, 59)), nullptr);
+  EXPECT_EQ(catalog().by_ip(Ipv4Addr(255, 255, 255, 255)), nullptr);
+}
+
 TEST(Catalog, PeriodicBehaviorCountsMatchTable4Shape) {
   auto avg = [this_catalog = &catalog()](DeviceCategory c) {
     double sum = 0;

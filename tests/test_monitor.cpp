@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
+#include "behaviot/core/checkpoint.hpp"
+#include "behaviot/obs/health.hpp"
+#include "behaviot/obs/metrics.hpp"
 #include "behaviot/pfsm/synoptic.hpp"
 
 namespace behaviot {
@@ -372,6 +376,214 @@ TEST(DeviationMonitor, RebindSwapsModelsAndKeepsStreamingState) {
                   .evaluate_window(Timestamp::from_seconds(2 * day),
                                    Timestamp::from_seconds(3 * day), {}, {})
                   .empty());
+}
+
+/// A hand-built 600 s heartbeat model of `device` toward `domain`.
+PeriodicModel heartbeat_model(DeviceId device, const std::string& domain) {
+  PeriodicModel m;
+  m.device = device;
+  m.group = domain + "|TLS";
+  m.domain = domain;
+  m.app = AppProtocol::kTls;
+  m.period_seconds = 600.0;
+  m.tolerance_seconds = 12.0;
+  m.support = 100;
+  return m;
+}
+
+FlowRecord heartbeat_flow(DeviceId device, const std::string& domain,
+                          double t_s) {
+  FlowRecord f;
+  f.device = device;
+  f.tuple = {{Ipv4Addr(192, 168, 1, 11), 41000},
+             {Ipv4Addr(54, 2, 2, 2), 443},
+             Transport::kTcp};
+  f.domain = domain;
+  f.app = AppProtocol::kTls;
+  f.start = f.end = Timestamp::from_seconds(t_s);
+  f.packets = {{f.start, 120, Direction::kOutbound, false}};
+  return f;
+}
+
+TEST(DeviationMonitor, SwapKeepsSurvivingTimersAndArmsNewGroupsQuietly) {
+  // A retrain keeps device 1's group, drops device 2's and adds device 3's,
+  // in a new slot order. The kept group's silence is scored from its last
+  // occurrence before the swap, not from the window start; the new group's
+  // on-period traffic raises nothing.
+  MonitorFixture fx;
+  const PeriodicModelSet before = PeriodicModelSet::from_models(
+      {heartbeat_model(2, "gone.vendor.com"),
+       heartbeat_model(1, "kept.vendor.com")});
+  const PeriodicModelSet after = PeriodicModelSet::from_models(
+      {heartbeat_model(1, "kept.vendor.com"),
+       heartbeat_model(3, "new.vendor.com")});
+  DeviationMonitor monitor(before, fx.pfsm, fx.short_term);
+
+  std::vector<FlowRecord> first;
+  for (double t = 0; t < 6000.0; t += 600.0) {
+    first.push_back(heartbeat_flow(1, "kept.vendor.com", t));
+    first.push_back(heartbeat_flow(2, "gone.vendor.com", t));
+  }
+  EXPECT_TRUE(monitor
+                  .evaluate_window(Timestamp(0),
+                                   Timestamp::from_seconds(6000.0), first, {})
+                  .empty());
+
+  monitor.rebind(after, fx.pfsm, fx.short_term);
+  std::vector<FlowRecord> second;
+  for (double t = 6000.0; t < 12000.0; t += 600.0) {
+    second.push_back(heartbeat_flow(3, "new.vendor.com", t));
+  }
+  const auto alerts =
+      monitor.evaluate_window(Timestamp::from_seconds(6000.0),
+                              Timestamp::from_seconds(12000.0), second, {});
+  ASSERT_EQ(alerts.size(), 1u);
+  EXPECT_EQ(alerts[0].device, 1);
+  EXPECT_EQ(alerts[0].explanation.model_group, "kept.vendor.com|TLS");
+  // Last occurrence at 5,400 s, window end at 12,000 s.
+  EXPECT_DOUBLE_EQ(alerts[0].explanation.observed, 6600.0);
+
+  const DeviationMonitorState state = monitor.export_state();
+  ASSERT_EQ(state.last_seen.size(), 2u);
+  EXPECT_EQ(std::get<1>(state.last_seen[0]), "kept.vendor.com|TLS");
+  EXPECT_EQ(std::get<2>(state.last_seen[0]), Timestamp::from_seconds(5400.0));
+  EXPECT_EQ(std::get<1>(state.last_seen[1]), "new.vendor.com|TLS");
+  EXPECT_EQ(state.silence_reported.size(), 1u);
+}
+
+TEST(DeviationMonitor, SlotOrderDoesNotReachTheExportedState) {
+  // The same models listed in two orders give the same alerts, the same
+  // exported state and the same checkpoint bytes.
+  MonitorFixture fx;
+  std::vector<PeriodicModel> models;
+  for (const char* domain : {"b.vendor.com", "a.vendor.com", "c.vendor.com"}) {
+    models.push_back(heartbeat_model(1, domain));
+    models.push_back(heartbeat_model(2, domain));
+  }
+  std::vector<PeriodicModel> reversed(models.rbegin(), models.rend());
+  const PeriodicModelSet forward = PeriodicModelSet::from_models(models);
+  const PeriodicModelSet backward = PeriodicModelSet::from_models(reversed);
+
+  const auto run = [&fx](const PeriodicModelSet& set) {
+    DeviationMonitor monitor(set, fx.pfsm, fx.short_term);
+    std::vector<FlowRecord> flows;
+    for (double t = 0; t < 6000.0; t += 600.0) {
+      for (const char* domain : {"a.vendor.com", "b.vendor.com"}) {
+        flows.push_back(heartbeat_flow(1, domain, t));
+        flows.push_back(heartbeat_flow(2, domain, t + 1.0));
+      }
+      flows.push_back(heartbeat_flow(2, "c.vendor.com", t + 2.0));
+    }
+    (void)monitor.evaluate_window(Timestamp(0),
+                                  Timestamp::from_seconds(6000.0), flows, {});
+    const auto alerts = monitor.evaluate_window(
+        Timestamp::from_seconds(6000.0), Timestamp::from_seconds(12000.0), {},
+        {});
+    WatchCheckpoint cp;
+    cp.engine.monitor = monitor.export_state();
+    return std::make_tuple(alerts.size(), cp.engine.monitor,
+                           save_checkpoint(cp));
+  };
+  const auto [alerts_f, state_f, bytes_f] = run(forward);
+  const auto [alerts_b, state_b, bytes_b] = run(backward);
+  EXPECT_EQ(alerts_f, 2u);
+  EXPECT_EQ(alerts_b, alerts_f);
+  EXPECT_EQ(state_f.last_seen, state_b.last_seen);
+  EXPECT_EQ(state_f.silence_reported, state_b.silence_reported);
+  ASSERT_EQ(state_f.last_seen.size(), 5u);
+  EXPECT_TRUE(std::is_sorted(state_f.last_seen.begin(),
+                             state_f.last_seen.end()));
+  EXPECT_EQ(bytes_f, bytes_b);
+}
+
+TEST(DeviationMonitor, ImportedKeysTheBoundSetLacksArePurgedAtTheNextWindow) {
+  // A checkpoint may name a group the bound set no longer has (its final
+  // image is taken after the end-of-stream swap). The entry stands until
+  // the next window, as an export in between must reproduce the image,
+  // and is then dropped and counted.
+  MonitorFixture fx;
+  const std::string group = fx.periodic.all().front().group;
+  DeviationMonitorState state;
+  const std::string retired = "retired.vendor.com|TLS";
+  state.last_seen = {{1, group, Timestamp::from_seconds(100.0)},
+                     {1, group, Timestamp::from_seconds(200.0)},
+                     {7, retired, Timestamp::from_seconds(50.0)}};
+  state.silence_reported = {{7, retired}};
+  state.primed = true;
+
+  DeviationMonitor monitor(fx.periodic, fx.pfsm, fx.short_term);
+  monitor.import_state(state);
+  const DeviationMonitorState imported = monitor.export_state();
+  ASSERT_EQ(imported.last_seen.size(), 2u);  // the first duplicate wins
+  EXPECT_EQ(std::get<1>(imported.last_seen[0]), group);
+  EXPECT_EQ(std::get<2>(imported.last_seen[0]),
+            Timestamp::from_seconds(100.0));
+  EXPECT_EQ(imported.silence_reported, state.silence_reported);
+
+  obs::MetricsRegistry::set_enabled(true);
+  auto& purged = obs::counter("deviation.stale_keys_purged");
+  const std::uint64_t purged_before = purged.value();
+  (void)monitor.evaluate_window(Timestamp::from_seconds(600.0),
+                                Timestamp::from_seconds(1200.0),
+                                std::vector<FlowRecord>{fx.heartbeat_at(700.0)},
+                                {});
+  obs::MetricsRegistry::set_enabled(false);
+  EXPECT_EQ(purged.value() - purged_before, 2u);  // the timer and the episode
+  const DeviationMonitorState after = monitor.export_state();
+  ASSERT_EQ(after.last_seen.size(), 1u);
+  EXPECT_EQ(std::get<0>(after.last_seen[0]), 1);
+  EXPECT_EQ(std::get<2>(after.last_seen[0]), Timestamp::from_seconds(700.0));
+  EXPECT_TRUE(after.silence_reported.empty());
+}
+
+TEST(DeviationMonitor, RegressedClockIsClampedDisclosedAndCountedPerWindow) {
+  // An occurrence earlier than the armed timer, or a window ending before
+  // the last occurrence, would read as a negative elapsed time. Each such
+  // interval scores as zero elapsed; the window degrades the monitor with
+  // the number of clamped intervals, and the counter counts windows.
+  MonitorFixture fx;
+  DeviationMonitor monitor(fx.periodic, fx.pfsm, fx.short_term);
+  obs::health().reset();
+  obs::MetricsRegistry::set_enabled(true);
+  auto& windows = obs::counter("deviation.nonmonotonic_windows");
+  const std::uint64_t windows_before = windows.value();
+
+  EXPECT_TRUE(monitor
+                  .evaluate_window(Timestamp(0),
+                                   Timestamp::from_seconds(1200.0),
+                                   std::vector<FlowRecord>{
+                                       fx.heartbeat_at(1000.0)},
+                                   {})
+                  .empty());
+  // 500 s regresses behind the 1,000 s timer, and 2,500 s lies past the
+  // window's end: two clamped intervals in one window.
+  EXPECT_TRUE(monitor
+                  .evaluate_window(Timestamp::from_seconds(1200.0),
+                                   Timestamp::from_seconds(2400.0),
+                                   std::vector<FlowRecord>{
+                                       fx.heartbeat_at(2500.0),
+                                       fx.heartbeat_at(500.0)},
+                                   {})
+                  .empty());
+  const obs::HealthSnapshot snap = obs::health().snapshot();
+  const obs::ComponentHealth* c = snap.find("deviation.monitor");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->state, obs::ComponentState::kDegraded);
+  EXPECT_EQ(c->reasons, std::vector<std::string>{"nonmonotonic-window:2"});
+  EXPECT_EQ(windows.value() - windows_before, 1u);
+
+  // 2,450 s regresses behind the 2,500 s timer: one more window.
+  EXPECT_TRUE(monitor
+                  .evaluate_window(Timestamp::from_seconds(2400.0),
+                                   Timestamp::from_seconds(3600.0),
+                                   std::vector<FlowRecord>{
+                                       fx.heartbeat_at(2450.0),
+                                       fx.heartbeat_at(3000.0)},
+                                   {})
+                  .empty());
+  obs::MetricsRegistry::set_enabled(false);
+  EXPECT_EQ(windows.value() - windows_before, 2u);
+  obs::health().reset();
 }
 
 TEST(DeviationMonitor, ResetForgetsTimers) {

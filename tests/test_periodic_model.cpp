@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+
 #include "behaviot/flow/assembler.hpp"
 #include "behaviot/periodic/periodic_classifier.hpp"
 #include "behaviot/testbed/datasets.hpp"
@@ -64,6 +67,45 @@ TEST(PeriodicModelSet, FindReturnsNullForUnknownGroup) {
   const auto& models = shared_models();
   EXPECT_EQ(models.find(0, "no-such-group|TCP"), nullptr);
   EXPECT_EQ(models.find(9999, "x|TCP"), nullptr);
+}
+
+TEST(PeriodicModelSet, GenerationIsFreshPerBuildAndKeptByCopies) {
+  // Slot-keyed consumers (the deviation monitor) re-key when the
+  // generation changes, so every build must draw a new one and a copy or
+  // move, which keeps the slots, must keep it.
+  const PeriodicModelSet& inferred = shared_models();
+  const std::span<const FlowRecord> flows(shared_fixture().flows);
+  const PeriodicModelSet reinferred = PeriodicModelSet::infer(
+      flows.first(flows.size() / 4), shared_fixture().window_seconds);
+  const PeriodicModelSet rebuilt =
+      PeriodicModelSet::from_models(inferred.all());
+  const PeriodicModelSet rebuilt_again =
+      PeriodicModelSet::from_models(inferred.all());
+  EXPECT_EQ(PeriodicModelSet{}.generation(), 0u);
+  const std::set<std::uint64_t> generations{
+      inferred.generation(), reinferred.generation(), rebuilt.generation(),
+      rebuilt_again.generation()};
+  EXPECT_EQ(generations.size(), 4u);
+  EXPECT_EQ(generations.count(0), 0u);
+
+  PeriodicModelSet copy = rebuilt;
+  EXPECT_EQ(copy.generation(), rebuilt.generation());
+  const PeriodicModelSet moved = std::move(copy);
+  EXPECT_EQ(moved.generation(), rebuilt.generation());
+  PeriodicModelSet assigned;
+  assigned = rebuilt_again;
+  EXPECT_EQ(assigned.generation(), rebuilt_again.generation());
+}
+
+TEST(PeriodicModelSet, FromModelsRejectsARepeatedGroup) {
+  // find() can return only one model per (device, group), so a set naming
+  // one twice would score a group the lookup cannot see.
+  const PeriodicModel& m = shared_models().all().front();
+  EXPECT_THROW((void)PeriodicModelSet::from_models({m, m}),
+               std::invalid_argument);
+  PeriodicModel other_device = m;
+  other_device.device = static_cast<DeviceId>(m.device + 1);
+  EXPECT_EQ(PeriodicModelSet::from_models({m, other_device}).size(), 2u);
 }
 
 TEST(PeriodicModelSet, InferredPeriodsMatchProfiles) {

@@ -353,6 +353,47 @@ TEST(SerializeBinary, OversizedCountRejectedBeforeAllocation) {
   EXPECT_EQ(loaded.periodic.size(), 0u);
 }
 
+TEST(SerializeBinary, RepeatedPeriodicGroupIsRefusedStrictDroppedLenient) {
+  // Rename one periodic record's group to an earlier record's: the set
+  // would name one (device, group) twice, and lookups see only the first.
+  BehaviorModelSet models = full_models();
+  std::vector<PeriodicModel> periodic = models.periodic.all();
+  PeriodicModel twin = periodic.front();
+  twin.group = "hc.vendor.com|TLS";  // same length as the first's group
+  twin.domain = "hc.vendor.com";
+  twin.period_seconds = 42.0;
+  periodic.insert(periodic.begin() + 1, twin);
+  models.periodic = PeriodicModelSet::from_models(periodic);
+  std::string image = save_models_binary(models);
+  const std::size_t group_at = image.find(twin.group);
+  ASSERT_NE(group_at, std::string::npos);
+  image.replace(group_at, twin.group.size(), periodic.front().group);
+  fix_crc(image);
+  // The record starts 45 fixed bytes, then the domain's u32 length and
+  // bytes, then the group's u32 length before the group.
+  const std::size_t record_at = group_at - 4 - twin.domain.size() - 4 - 45;
+
+  try {
+    (void)load_models_binary(as_bytes(image), ParsePolicy::kStrict);
+    FAIL() << "expected SerializationError";
+  } catch (const SerializationError& e) {
+    EXPECT_EQ(e.offset(), record_at);
+    EXPECT_NE(std::string(e.what()).find("repeats"), std::string::npos)
+        << e.what();
+  }
+
+  ParseStats stats;
+  const BehaviorModelSet loaded =
+      load_models_binary(as_bytes(image), ParsePolicy::kLenient, &stats);
+  EXPECT_EQ(stats.models_dropped, 1u);
+  EXPECT_EQ(stats.sections_dropped, 0u);
+  ASSERT_EQ(loaded.periodic.size(), 2u);
+  EXPECT_EQ(loaded.periodic.all()[0].group, periodic[0].group);
+  EXPECT_EQ(loaded.periodic.all()[0].period_seconds,
+            periodic[0].period_seconds);  // the first record wins
+  EXPECT_EQ(loaded.periodic.all()[1].group, periodic[2].group);
+}
+
 TEST(SerializeBinary, LenientResynchronizesAtNextSection) {
   // The section table lets the lenient loader drop the damaged section and
   // still parse everything after it.
