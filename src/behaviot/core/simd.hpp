@@ -9,13 +9,6 @@
 // still free to vectorize the independent work:
 //
 //  - `magnitudes_squared` writes independent outputs (trivially SIMD).
-//  - `centered_autocorr_lags` interleaves the per-lag accumulation chains of
-//    a windowed autocorrelation: the scalar code iterates lags in the outer
-//    loop (one latency-bound dependent-add chain per lag, each ~4 cycles per
-//    element); interleaving runs all chains concurrently over one pass of the
-//    series, so the chains hide each other's FP-add latency and the inner
-//    loop over lags vectorizes. Each individual chain still performs the
-//    same adds on the same values in the same order.
 //  - Reduction kernels (`sum`, `squared_distance`, ...) keep a single
 //    accumulator and are unrolled only to cut loop overhead; they exist so
 //    the callers share one definition whose FP shape is audited here once.
@@ -45,29 +38,6 @@ namespace behaviot::simd {
     s += xs[i + 3];
   }
   for (; i < n; ++i) s += xs[i];
-  return s;
-}
-
-/// Σ (x[i]-m)^2, left-to-right — the r0 term of a normalized ACF.
-[[nodiscard]] inline double centered_sum_squares(std::span<const double> xs,
-                                                 double m) {
-  double s = 0.0;
-  std::size_t i = 0;
-  const std::size_t n = xs.size();
-  for (; i + 4 <= n; i += 4) {
-    const double d0 = xs[i] - m;
-    const double d1 = xs[i + 1] - m;
-    const double d2 = xs[i + 2] - m;
-    const double d3 = xs[i + 3] - m;
-    s += d0 * d0;
-    s += d1 * d1;
-    s += d2 * d2;
-    s += d3 * d3;
-  }
-  for (; i < n; ++i) {
-    const double d = xs[i] - m;
-    s += d * d;
-  }
   return s;
 }
 
@@ -127,64 +97,6 @@ inline void magnitudes_squared(std::span<const std::complex<double>> c,
     const double re = c[k].real();
     const double im = c[k].imag();
     out[k] = re * re + im * im;
-  }
-}
-
-/// Windowed autocovariance sums for every lag in [lag_lo, lag_hi]:
-///
-///   out[lag - lag_lo] = Σ_{t=0}^{n-lag-1} (x[t]-m) * (x[t+lag]-m)
-///
-/// Bit-identical to running the scalar per-lag loop for each lag: the sums
-/// are accumulated in increasing t for every lag, with the identical
-/// subtract/multiply/add expression shape — only the *interleaving across
-/// lags* differs, which IEEE-754 cannot observe because the chains are
-/// independent. `out` must hold lag_hi - lag_lo + 1 slots.
-inline void centered_autocorr_lags(std::span<const double> xs, double m,
-                                   std::size_t lag_lo, std::size_t lag_hi,
-                                   double* out) {
-  const std::size_t n = xs.size();
-  const std::size_t lags = lag_hi - lag_lo + 1;
-  for (std::size_t l = 0; l < lags; ++l) out[l] = 0.0;
-  if (n <= lag_lo) return;
-
-  // Main region: every lag participates (t + lag_hi < n), so the inner loop
-  // over lags is branch-free and auto-vectorizes (contiguous xs[t+lag] loads,
-  // independent out[l] accumulators). When the lag window fits a stack
-  // array, accumulate there: `out` is a caller pointer the compiler must
-  // assume aliases `xs`, which forces a reload/store of every accumulator
-  // per t — local accumulators provably don't alias, so they stay in
-  // registers across the whole pass. Same chains, same order, same sums.
-  const std::size_t main_end = n > lag_hi ? n - lag_hi : 0;
-  std::size_t t = 0;
-  constexpr std::size_t kMaxLocalLags = 64;
-  if (lags <= kMaxLocalLags) {
-    double acc[kMaxLocalLags] = {};
-    for (; t < main_end; ++t) {
-      const double xc = xs[t] - m;
-      const double* right = xs.data() + t + lag_lo;
-      for (std::size_t l = 0; l < lags; ++l) {
-        acc[l] += xc * (right[l] - m);
-      }
-    }
-    for (std::size_t l = 0; l < lags; ++l) out[l] = acc[l];
-  } else {
-    for (; t < main_end; ++t) {
-      const double xc = xs[t] - m;
-      const double* right = xs.data() + t + lag_lo;
-      for (std::size_t l = 0; l < lags; ++l) {
-        out[l] += xc * (right[l] - m);
-      }
-    }
-  }
-  // Tail: lags drop out one by one as t + lag reaches n. Still increasing t
-  // per surviving lag, so each chain's order is unchanged.
-  for (; t + lag_lo < n; ++t) {
-    const double xc = xs[t] - m;
-    const std::size_t live = n - t - lag_lo;  // lags still in range
-    const double* right = xs.data() + t + lag_lo;
-    for (std::size_t l = 0; l < live && l < lags; ++l) {
-      out[l] += xc * (right[l] - m);
-    }
   }
 }
 

@@ -327,10 +327,12 @@ void WatchEngine::import_state(WatchEngineState state) {
   monitor_.rebind(generation_->periodic, generation_->pfsm,
                   generation_->short_term);
   monitor_.import_state(state.monitor);
-  // The snapshot was taken inside the sink, *before* the post-sink launch
+  // A snapshot taken inside the sink precedes the post-sink launch
   // decision. Replay it: the uninterrupted run launched a retrain over the
-  // restored buffer iff the just-closed window completed an interval.
-  if (options_.retrain_every_windows > 0 && windows_ > 0 &&
+  // restored buffer iff the just-closed window completed an interval. A
+  // finished run's snapshot (done) follows finish(), which already joined
+  // that retrain, so there is nothing to replay.
+  if (!done_ && options_.retrain_every_windows > 0 && windows_ > 0 &&
       windows_ % options_.retrain_every_windows == 0) {
     launch_retrain();
   }

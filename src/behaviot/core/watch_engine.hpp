@@ -177,7 +177,9 @@ class WatchEngine {
   /// ingest). The ModelHandle must already hold the checkpointed
   /// generation; the monitor is rebound to it here. Replays the retrain
   /// launch the uninterrupted run performed right after the checkpointing
-  /// sink returned, so resumed and uninterrupted runs stay in lockstep.
+  /// sink returned, so resumed and uninterrupted runs stay in lockstep. A
+  /// finished run's snapshot (done) replays nothing: finish() had already
+  /// joined that retrain.
   void import_state(WatchEngineState state);
 
  private:

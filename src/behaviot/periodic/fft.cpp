@@ -256,28 +256,4 @@ std::vector<double> power_spectrum(std::span<const double> series) {
   return power_spectrum(series, ws);  // ws.power moves out via copy-return
 }
 
-std::vector<double> autocorrelation_fft(std::span<const double> series,
-                                        std::size_t max_lag) {
-  const std::size_t n = series.size();
-  if (n == 0) return {};
-  max_lag = std::min(max_lag, n - 1);
-
-  const double mean = simd::sum(series) / static_cast<double>(n);
-
-  // Zero-pad to 2n to make the circular convolution linear.
-  const std::size_t m = next_pow2(2 * n);
-  std::vector<std::complex<double>> buf(m, {0.0, 0.0});
-  for (std::size_t i = 0; i < n; ++i) buf[i] = series[i] - mean;
-  fft(buf);
-  for (auto& c : buf) c = std::complex<double>(std::norm(c), 0.0);
-  fft(buf, /*inverse=*/true);
-  // buf[k].real()/m is now the raw autocovariance sum at lag k.
-
-  const double r0 = buf[0].real();
-  std::vector<double> acf(max_lag + 1, 0.0);
-  if (r0 <= 1e-12) return acf;  // constant series
-  for (std::size_t k = 0; k <= max_lag; ++k) acf[k] = buf[k].real() / r0;
-  return acf;
-}
-
 }  // namespace behaviot

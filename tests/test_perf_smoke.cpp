@@ -2,12 +2,13 @@
 // perf_smoke).
 //
 // Periodic inference was rebuilt around vectorized kernels (pair-sweep
-// DBSCAN, cache-blocked FFT, interleaved ACF) for a multi-x speedup; this
-// test keeps the floor from silently eroding. The ceiling is deliberately
-// generous — an order of magnitude above the current single-thread time on a
-// modest container — so it only trips on structural regressions (e.g.
-// reintroducing an O(n^2) traversal or a __muldc3-lowered complex multiply
-// in the FFT), never on CI scheduling noise.
+// DBSCAN, cache-blocked FFT) and an exact sparse ACF for a multi-x speedup;
+// this test keeps the floor from silently eroding. The ceiling is
+// deliberately generous — an order of magnitude above the current
+// single-thread time on a modest container — so it only trips on
+// structural regressions (e.g. reintroducing an O(n^2) traversal or a
+// __muldc3-lowered complex multiply in the FFT), never on CI scheduling
+// noise.
 #include <gtest/gtest.h>
 
 #include <chrono>
